@@ -3,10 +3,16 @@
 //
 // The kernel orders events by (time, insertion sequence), so two runs of
 // the same program produce identical schedules. Simulated software threads
-// (Proc) run as goroutines, but exactly one runs at a time: the kernel
-// resumes a process and waits for it to park again before dispatching the
-// next event, preserving determinism.
+// (Proc) run as goroutines, but exactly one goroutine runs the event loop
+// at a time: whichever holds the baton. A driver (Run, RunUntil, Step)
+// holds it first; a process that blocks keeps popping events itself,
+// running callbacks inline, returning at once on its own wake, and
+// otherwise passing the baton straight to the process it wakes — one
+// goroutine switch per handoff — or back to the driver at the drive's
+// bound.
 package sim
+
+import "math"
 
 // Cycle is a point in simulated time, measured in clock cycles.
 type Cycle = uint64
@@ -57,11 +63,15 @@ type Kernel struct {
 	waiterPool [][]*Proc
 
 	// freeProcs holds finished Procs whose goroutines are parked awaiting
-	// a next task: spawning recycles them (struct, channels, and goroutine)
-	// instead of allocating. Only the kernel loop and the currently-running
-	// proc touch this list, and never at the same time, so no locking is
-	// needed. Release tears the idle goroutines down.
-	freeProcs []*Proc
+	// a next task: spawning recycles them (struct, channel, and goroutine)
+	// instead of allocating. At most maxIdleProcs keep a goroutine; the
+	// longest-idle ones beyond that retire theirs and wait in spareProcs,
+	// where a spawn reuses the struct and channel and starts a fresh
+	// goroutine. Only the goroutine holding the baton touches these
+	// lists, so no locking is needed. Release retires every idle
+	// goroutine.
+	freeProcs  []*Proc
+	spareProcs []*Proc
 
 	// futurePool recycles one-shot Futures on paths that guarantee no
 	// references survive completion (DRAM transfers, lazy line-lock
@@ -77,9 +87,25 @@ type Kernel struct {
 	batch   []event
 	batchQ  []int
 
-	// procPanic holds a panic captured on a Proc goroutine; dispatch
-	// re-raises it on the kernel goroutine so drivers can recover it.
-	procPanic *ProcPanic
+	// limit and budget bound the current drive (see drive): no event
+	// later than limit runs, and at most budget more events run.
+	limit  Cycle
+	budget uint64
+
+	// taken holds the event take popped last, so the dispatch loop reads
+	// it in place instead of copying it through return values. drive
+	// clears it on return so it pins nothing between drives.
+	taken event
+
+	// back returns the baton to the driver goroutine when a process
+	// reaches the drive's bound, panics, or unwinds in Shutdown.
+	back chan struct{}
+
+	// fault holds a panic raised while a process goroutine held the
+	// baton — a *ProcPanic from a process's own code, or the original
+	// value from an event run inline — for drive to re-raise on the
+	// driver goroutine, where drivers can recover it.
+	fault any
 }
 
 // A Chooser resolves scheduling ties. When the kernel is about to run an
@@ -103,7 +129,7 @@ func (k *Kernel) SetChooser(c Chooser) { k.chooser = c }
 
 // NewKernel returns an empty kernel at cycle 0 with a single queue.
 func NewKernel() *Kernel {
-	return &Kernel{queues: make([][]event, 1)}
+	return &Kernel{queues: make([][]event, 1), back: make(chan struct{})}
 }
 
 // Partition splits the kernel's event queue into n tile-sharded queues.
@@ -206,83 +232,118 @@ func (k *Kernel) minQueue() int {
 	return best
 }
 
+// take pops the next event under the current drive's bound — at most
+// k.budget more events, none later than k.limit — into k.taken and
+// advances the clock to it; it returns nil once the bound is reached or
+// every queue is empty. The popped event's queue becomes the routing
+// affinity for events it schedules.
+//
+// With a chooser installed, every event tied at the minimum time is
+// popped (in insertion order, across all queues), the chooser picks the
+// one that runs, and the rest are reinserted into the queues they came
+// from. Reinserted events keep their original sequence numbers, so the
+// unchosen events' relative order — and hence the meaning of future
+// choices — is unchanged by the pick.
+func (k *Kernel) take() *event {
+	qi := k.minQueue()
+	if qi < 0 || k.budget == 0 || k.queues[qi][0].when > k.limit {
+		return nil
+	}
+	k.budget--
+	if k.chooser == nil {
+		k.taken = k.pop(qi)
+	} else {
+		b := append(k.batch[:0], k.pop(qi))
+		bq := append(k.batchQ[:0], qi)
+		for {
+			next := k.minQueue()
+			if next < 0 || k.queues[next][0].when != b[0].when {
+				break
+			}
+			b = append(b, k.pop(next))
+			bq = append(bq, next)
+		}
+		idx := 0
+		if len(b) > 1 {
+			if c := k.chooser.Choose(len(b)); c > 0 && c < len(b) {
+				idx = c
+			}
+		}
+		k.taken, qi = b[idx], bq[idx]
+		for i := range b {
+			if i != idx {
+				k.push(bq[i], b[i])
+			}
+		}
+		clear(b) // don't pin closures from the scratch slice
+		k.batch, k.batchQ = b[:0], bq[:0]
+	}
+	k.now, k.cur = k.taken.when, qi
+	k.events++
+	return &k.taken
+}
+
+// nextProc runs events inline on the calling goroutine until it takes
+// a process wake, and returns that process; nil means the drive's bound
+// is reached or the queue is empty. Wakes of finished processes are
+// dropped.
+func (k *Kernel) nextProc() *Proc {
+	for {
+		e := k.take()
+		if e == nil {
+			return nil
+		}
+		switch {
+		case e.proc != nil:
+			if e.proc.done {
+				continue
+			}
+			if e.start {
+				e.proc.started = true
+			}
+			return e.proc
+		case e.future != nil:
+			e.future.Complete()
+			// Pool-originated futures completed by their scheduled event
+			// have no remaining references (waiters were converted to
+			// proc wakes); recycle immediately.
+			k.RecycleFuture(e.future)
+		default:
+			e.fn()
+		}
+	}
+}
+
+// drive runs events in (time, sequence) order until budget events have
+// run, the next event is later than limit, or the queue is empty. The
+// caller's goroutine holds the baton first; when it takes a process
+// wake it hands the baton to that process and waits on k.back until a
+// process returns it at the bound (see Proc.block). A panic that ended
+// the drive on a process goroutine is re-raised here.
+func (k *Kernel) drive(limit Cycle, budget uint64) {
+	k.limit, k.budget = limit, budget
+	if p := k.nextProc(); p != nil {
+		p.resume <- false
+		<-k.back
+	}
+	k.taken = event{}
+	if f := k.fault; f != nil {
+		k.fault = nil
+		panic(f)
+	}
+}
+
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (k *Kernel) Step() bool {
-	qi := k.minQueue()
-	if qi < 0 {
-		return false
-	}
-	if k.chooser != nil {
-		return k.stepChoose(qi)
-	}
-	k.exec(qi, k.pop(qi))
-	return true
-}
-
-// exec runs one dequeued event, advancing the clock to its time. qi is
-// the queue the event came from: it becomes the routing affinity for
-// events scheduled while it runs.
-func (k *Kernel) exec(qi int, e event) {
-	k.now = e.when
-	k.cur = qi
-	k.events++
-	switch {
-	case e.proc != nil:
-		if e.start {
-			e.proc.started = true
-		}
-		e.proc.dispatch()
-	case e.future != nil:
-		e.future.Complete()
-		// Pool-originated futures completed by their scheduled event have
-		// no remaining references (waiters were converted to proc wakes);
-		// recycle immediately.
-		k.RecycleFuture(e.future)
-	default:
-		e.fn()
-	}
-}
-
-// stepChoose is Step with a chooser installed: pop every event tied at
-// the minimum time (in insertion order, across all queues), let the
-// chooser pick which one runs, and reinsert the rest into the queues
-// they came from. Reinserted events keep their original sequence
-// numbers, so the unchosen events' relative order — and hence the
-// meaning of future choices — is unchanged by the pick.
-func (k *Kernel) stepChoose(qi int) bool {
-	b := append(k.batch[:0], k.pop(qi))
-	bq := append(k.batchQ[:0], qi)
-	for {
-		next := k.minQueue()
-		if next < 0 || k.queues[next][0].when != b[0].when {
-			break
-		}
-		b = append(b, k.pop(next))
-		bq = append(bq, next)
-	}
-	idx := 0
-	if len(b) > 1 {
-		if c := k.chooser.Choose(len(b)); c > 0 && c < len(b) {
-			idx = c
-		}
-	}
-	e, eq := b[idx], bq[idx]
-	for i := range b {
-		if i != idx {
-			k.push(bq[i], b[i])
-		}
-	}
-	clear(b) // don't pin closures from the scratch slice
-	k.batch, k.batchQ = b[:0], bq[:0]
-	k.exec(eq, e)
-	return true
+	n := k.events
+	k.drive(math.MaxUint64, 1)
+	return k.events != n
 }
 
 // Run executes events until the queue is empty.
 func (k *Kernel) Run() {
-	for k.Step() {
-	}
+	k.drive(math.MaxUint64, math.MaxUint64)
 }
 
 // next returns the time of the earliest pending event; ok is false when
@@ -297,13 +358,7 @@ func (k *Kernel) next() (when Cycle, ok bool) {
 
 // RunUntil executes events with time ≤ t, then advances the clock to t.
 func (k *Kernel) RunUntil(t Cycle) {
-	for {
-		when, ok := k.next()
-		if !ok || when > t {
-			break
-		}
-		k.Step()
-	}
+	k.drive(t, math.MaxUint64)
 	if k.now < t {
 		k.now = t
 	}
@@ -447,17 +502,25 @@ func (k *Kernel) RecycleFuture(f *Future) {
 }
 
 // Release tears down the pooled worker goroutines of finished processes.
-// The kernel stays fully usable — subsequent Go calls simply allocate
-// fresh processes — so callers (simulation drivers, benchmarks) should
-// invoke it when a run completes to avoid accumulating parked goroutines
-// across many kernels in one process.
+// The kernel stays fully usable — subsequent Go calls start fresh
+// goroutines — so callers (simulation drivers, benchmarks) should invoke
+// it when a run completes to avoid accumulating parked goroutines across
+// many kernels in one process.
 func (k *Kernel) Release() {
-	for i, p := range k.freeProcs {
-		p.exit = true
-		p.resume <- struct{}{}
-		k.freeProcs[i] = nil
+	for len(k.freeProcs) > 0 {
+		k.retireIdle()
 	}
-	k.freeProcs = k.freeProcs[:0]
+}
+
+// retireIdle stops the goroutine of the longest-idle pooled process and
+// keeps the process as a spare.
+func (k *Kernel) retireIdle() {
+	p := k.freeProcs[0]
+	n := copy(k.freeProcs, k.freeProcs[1:])
+	k.freeProcs[n] = nil
+	k.freeProcs = k.freeProcs[:n]
+	p.resume <- true
+	k.spareProcs = append(k.spareProcs, p)
 }
 
 // Shutdown abandons an in-flight simulation: every parked process is
@@ -469,22 +532,17 @@ func (k *Kernel) Release() {
 func (k *Kernel) Shutdown() {
 	for _, p := range k.procs {
 		if p.done {
-			continue // pooled in freeProcs; Release retires it below
+			continue // pooled; Release retires it below
 		}
-		if !p.started {
-			// Never dispatched: the goroutine is parked at its loop head,
-			// where the exit flag retires it directly.
-			p.exit = true
-			p.resume <- struct{}{}
-			continue
+		// A stop message retires a never-dispatched proc's goroutine at
+		// its loop head. A proc parked mid-run unwinds its task from
+		// block(); the worker loop swallows the abort, pools itself, and
+		// hands the baton back without running events.
+		p.resume <- true
+		if p.started {
+			<-k.back
 		}
-		// Parked mid-run: resume with abort set so block() unwinds the
-		// task. The worker loop swallows the abort and pools itself.
-		p.abort = true
-		p.resume <- struct{}{}
-		<-p.parked
-		p.abort = false
 	}
-	k.procPanic = nil
+	k.fault = nil
 	k.Release()
 }

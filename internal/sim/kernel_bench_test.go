@@ -174,3 +174,26 @@ func BenchmarkFutureCompleteWait(b *testing.B) {
 	})
 	k.Run()
 }
+
+// BenchmarkProcPingPong measures the handoff between two processes that
+// wake on alternating cycles: every wake passes the event loop to the
+// other process, the one goroutine switch the kernel still pays per
+// wake. One op is one wake.
+func BenchmarkProcPingPong(b *testing.B) {
+	k := NewKernel()
+	k.Go("ping", func(p *Proc) {
+		for i := 0; i < b.N; i += 2 {
+			p.Sleep(2)
+		}
+	})
+	k.Go("pong", func(p *Proc) {
+		p.Sleep(1)
+		for i := 1; i < b.N; i += 2 {
+			p.Sleep(2)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "wakes/s")
+}

@@ -5,30 +5,31 @@ import (
 	"runtime/debug"
 )
 
-// Proc is a simulated software thread. Procs run as goroutines, but the
-// kernel admits only one at a time: when a Proc blocks (Sleep, Wait), it
-// parks its goroutine and control returns to the kernel's event loop.
+// Proc is a simulated software thread. Procs run as goroutines, but only
+// the goroutine holding the kernel's baton runs. A Proc that blocks
+// (Sleep, Wait) runs the event loop itself: callback and future events
+// run inline on its goroutine, its own wake returns at once without a
+// goroutine switch, and another process's wake hands the baton to that
+// process while this one parks on its resume channel. At the drive's
+// bound, or when the queue empties, the baton goes back to the driver.
 //
 // Finished Procs are pooled: their goroutines park on the resume channel
-// and the next Go/GoArgs reuses the whole structure (struct, channels,
+// and the next Go/GoArgs reuses the whole structure (struct, channel,
 // goroutine) instead of allocating. This is safe because every park has
 // exactly one wake scheduled (Sleep, Future completion, Semaphore
 // handoff, WaitGroup drain, Barrier release), so no stale wake event can
-// ever target a recycled Proc. Kernel.Release tears idle pool goroutines
-// down when a run is over.
+// ever target a recycled Proc. The pool keeps at most maxIdleProcs idle
+// goroutines, and Kernel.Release tears them down when a run is over.
 //
 // All Proc methods must be called from the Proc's own goroutine (i.e.,
 // inside the function passed to Kernel.Go), except Done.
 type Proc struct {
 	k       *Kernel
 	name    string
-	shard   int // queue affinity on a partitioned kernel (0 otherwise)
-	resume  chan struct{}
-	parked  chan struct{}
+	shard   int       // queue affinity on a partitioned kernel (0 otherwise)
+	resume  chan bool // true stops the goroutine: it exits, or unwinds a parked task
 	started bool
 	done    bool
-	exit    bool // set by Kernel.Release to retire the pooled goroutine
-	abort   bool // set by Kernel.Shutdown: block() unwinds the task
 
 	// Task slots: exactly one of fn/fnArgs is set while the proc runs.
 	// They live on the Proc so a pooled goroutine picks up its next task
@@ -71,30 +72,37 @@ func (k *Kernel) GoArgs(name string, fn func(p *Proc, a0, a1 uint64), a0, a1 uin
 }
 
 // spawn returns a ready-to-start Proc pinned to shard, recycling a
-// pooled one when available. Recycled procs are already in k.procs;
-// fresh ones are appended and their worker goroutine started.
+// pooled one when available — possibly the very proc whose goroutine is
+// running the spawning event, which then restarts in place. Recycled
+// procs are already in k.procs; fresh ones are appended and their worker
+// goroutine started.
 func (k *Kernel) spawn(shard int, name string) *Proc {
 	shard = k.shardFor(shard)
+	var p *Proc
 	if n := len(k.freeProcs); n > 0 {
-		p := k.freeProcs[n-1]
+		p = k.freeProcs[n-1]
 		k.freeProcs[n-1] = nil
 		k.freeProcs = k.freeProcs[:n-1]
-		p.name = name
-		p.shard = shard
-		p.started, p.done = false, false
-		return p
+	} else if n := len(k.spareProcs); n > 0 {
+		p = k.spareProcs[n-1]
+		k.spareProcs[n-1] = nil
+		k.spareProcs = k.spareProcs[:n-1]
+		go p.loop()
+	} else {
+		p = &Proc{k: k, resume: make(chan bool)}
+		k.procs = append(k.procs, p)
+		go p.loop()
 	}
-	p := &Proc{
-		k:      k,
-		name:   name,
-		shard:  shard,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
-	k.procs = append(k.procs, p)
-	go p.loop()
+	p.name = name
+	p.shard = shard
+	p.started, p.done = false, false
 	return p
 }
+
+// maxIdleProcs bounds the idle goroutines a kernel's proc pool keeps
+// parked. A burst of thousands of engine callbacks would otherwise leave
+// thousands of idle goroutine stacks behind it for the rest of the run.
+const maxIdleProcs = 64
 
 // scheduleStart queues the proc's first dispatch at the current cycle,
 // carried directly on the event (no closure).
@@ -104,27 +112,40 @@ func (k *Kernel) scheduleStart(p *Proc) {
 }
 
 // loop is the pooled worker body: run a task, return to the free list,
-// park for the next one. The free-list append is safe without locking
-// because the kernel goroutine is blocked in dispatch (on p.parked) for
-// the whole time the proc runs.
+// then pass the baton on and park for the next task, until a stop
+// message retires the goroutine. The free-list update is safe without
+// locking because the proc holds the baton. A task that panicked or was
+// aborted by Shutdown hands the baton straight back to the driver
+// without running further events.
 func (p *Proc) loop() {
+	k := p.k
+	if <-p.resume {
+		return
+	}
 	for {
-		<-p.resume
-		if p.exit {
-			return
-		}
-		p.runTask()
+		aborted := p.runTask()
 		p.fn, p.fnArgs = nil, nil
 		p.done = true
-		p.k.freeProcs = append(p.k.freeProcs, p)
-		p.parked <- struct{}{}
+		k.freeProcs = append(k.freeProcs, p)
+		if len(k.freeProcs) > maxIdleProcs {
+			k.retireIdle()
+		}
+		switch {
+		case aborted || k.fault != nil:
+			k.back <- struct{}{}
+		case k.pass(p):
+			continue // an event run here respawned p: restart in place
+		}
+		if <-p.resume {
+			return
+		}
 	}
 }
 
 // ProcPanic wraps a panic raised on a Proc's goroutine. Procs run on
 // goroutines of their own, where an escaped panic would kill the whole
-// process unrecoverably; the worker loop captures it instead, and
-// dispatch re-raises the wrapped value on the kernel goroutine, where
+// process unrecoverably; the worker loop captures it instead, and the
+// drive re-raises the wrapped value on the driver goroutine, where
 // drivers (tests, the interleaving explorer) can recover it. The
 // panicking goroutine's stack is preserved for crash reports.
 type ProcPanic struct {
@@ -142,14 +163,16 @@ func (e *ProcPanic) Error() string {
 type procAbort struct{}
 
 // runTask runs the proc's task, converting an escaping panic into a
-// captured ProcPanic for dispatch to re-raise.
-func (p *Proc) runTask() {
+// captured ProcPanic for the drive to re-raise. It reports whether
+// Shutdown aborted the task.
+func (p *Proc) runTask() (aborted bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(procAbort); ok {
+				aborted = true
 				return
 			}
-			p.k.procPanic = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
+			p.k.fault = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
 		}
 	}()
 	if p.fn != nil {
@@ -157,29 +180,39 @@ func (p *Proc) runTask() {
 	} else {
 		p.fnArgs(p, p.a0, p.a1)
 	}
+	return false
 }
 
-// dispatch hands control to the process and waits for it to park or
-// finish. Must be called from the kernel's event loop. A panic captured
-// while the process ran is re-raised here, on the kernel goroutine.
-func (p *Proc) dispatch() {
-	if p.done {
-		return
+// pass runs the event loop on self's goroutine, which holds the baton,
+// until it takes a process wake or reaches the drive's bound. It reports
+// true when that wake is self's own: self carries on with no goroutine
+// switch. Otherwise the baton has gone to the woken process or back to
+// the driver, and the caller must park on self.resume. A panic from an
+// event run here ends the drive: it is handed to the driver with its
+// original value rather than blamed on self.
+func (k *Kernel) pass(self *Proc) (woke bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.fault = r
+			k.back <- struct{}{}
+		}
+	}()
+	switch p := k.nextProc(); p {
+	case self:
+		return true
+	case nil:
+		k.back <- struct{}{}
+	default:
+		p.resume <- false
 	}
-	p.resume <- struct{}{}
-	<-p.parked
-	if pp := p.k.procPanic; pp != nil {
-		p.k.procPanic = nil
-		panic(pp)
-	}
+	return false
 }
 
-// block parks the calling process until something dispatches it again.
+// block parks the calling process until its wake event runs, running the
+// event loop in the meantime (see pass).
 func (p *Proc) block() {
-	p.parked <- struct{}{}
-	<-p.resume
-	if p.abort {
-		panic(procAbort{})
+	if !p.k.pass(p) && <-p.resume {
+		panic(procAbort{}) // Shutdown: unwind the task
 	}
 }
 
