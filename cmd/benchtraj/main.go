@@ -9,9 +9,15 @@
 // Usage:
 //
 //	benchtraj -o BENCH_7.json [-report bench_report.json] bench1.txt bench2.txt ...
+//	benchtraj -compare BENCH_6.json [-o BENCH_7.json] [-report bench_report.json] bench1.txt ...
 //
 // Benchmark lines that repeat (go test -count N) stay separate entries
 // in input order, so downstream tooling sees the full sample set.
+//
+// -compare prints a markdown table of per-benchmark deltas against an
+// older trajectory: the minimum and the median of each side's -count
+// samples of ns/op, and the whole takoreport wall time. With -compare the
+// trajectory JSON is written only to -o.
 package main
 
 import (
@@ -294,8 +300,9 @@ func loadReport(path string) (*reportSummary, error) {
 
 func main() {
 	var (
-		out    = flag.String("o", "", "write the trajectory JSON here (default stdout)")
-		report = flag.String("report", "", "takoreport -bench JSON to fold into the trajectory")
+		out     = flag.String("o", "", "write the trajectory JSON here (default stdout)")
+		report  = flag.String("report", "", "takoreport -bench JSON to fold into the trajectory")
+		compare = flag.String("compare", "", "print per-benchmark min/median deltas against this older trajectory JSON")
 	)
 	flag.Parse()
 
@@ -325,6 +332,17 @@ func main() {
 		}
 		traj.Report = sum
 	}
+	if *compare != "" {
+		old, err := loadTrajectory(*compare)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchtraj: %v\n", err)
+			os.Exit(1)
+		}
+		writeComparison(os.Stdout, compareTrajectories(old, &traj))
+		if *out == "" {
+			return
+		}
+	}
 
 	w := io.Writer(os.Stdout)
 	if *out != "" {
@@ -343,6 +361,6 @@ func main() {
 		os.Exit(1)
 	}
 	if *out != "" {
-		fmt.Printf("trajectory written to %s (%d benchmarks)\n", *out, len(traj.Benchmarks))
+		fmt.Fprintf(os.Stderr, "trajectory written to %s (%d benchmarks)\n", *out, len(traj.Benchmarks))
 	}
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -160,7 +162,7 @@ func TestRunUntilBoundsProcHeldDrive(t *testing.T) {
 
 // TestPooledProcRespawnsInPlace: once a proc finishes it still holds the
 // baton; a callback it then runs inline may respawn it from the pool,
-// and its goroutine must pick the new task up directly.
+// and its coroutine must pick the new task up directly.
 func TestPooledProcRespawnsInPlace(t *testing.T) {
 	k := NewKernel()
 	var firstG, eventG, secondG uint64
@@ -204,7 +206,9 @@ func waitGoroutines(t *testing.T, want int) {
 
 // TestShutdownAndReleaseRestoreGoroutines: Shutdown must retire never-
 // started, parked-mid-run and pooled processes, and Release the pool of
-// a finished run, leaving no goroutine behind.
+// a finished run, leaving no goroutine behind. A never-started process
+// must not run its task, whether its coroutine is fresh (stop before the
+// first next skips the body) or pooled after an earlier task.
 func TestShutdownAndReleaseRestoreGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 
@@ -219,7 +223,7 @@ func TestShutdownAndReleaseRestoreGoroutines(t *testing.T) {
 		})
 	}
 	k.RunUntil(10)
-	for i := 0; i < 3; i++ { // two pooled goroutines and one fresh
+	for i := 0; i < 3; i++ { // two pooled coroutines and one fresh
 		k.Go("never-started", func(p *Proc) { t.Error("never-started proc ran") })
 	}
 	if got := len(k.Blocked()); got != 3 {
@@ -238,33 +242,152 @@ func TestShutdownAndReleaseRestoreGoroutines(t *testing.T) {
 }
 
 // TestIdleProcPoolBounded: a burst of processes finishing together must
-// leave at most maxIdleProcs goroutines parked in the pool, and the
-// processes whose goroutines retired must still be reusable.
+// leave at most maxIdleProcs coroutines in the pool. Each proc finishing
+// past the cap stops the longest-idle pooled coroutine from inside its
+// own coroutine. The retired procs wait as spares; respawned with fresh
+// coroutines they must run handoff-heavy tasks exactly as on a fresh
+// kernel, and Release must restore the goroutine count.
 func TestIdleProcPoolBounded(t *testing.T) {
 	base := runtime.NumGoroutine()
-	k := NewKernel()
 	const burst = 4 * maxIdleProcs
-	ran := 0
-	spawnBurst := func() {
+	respawn := func(k *Kernel, log *[]string) {
+		start := k.Now()
 		for i := 0; i < burst; i++ {
-			k.Go("burst", func(p *Proc) {
-				p.Sleep(Cycle(1 + i%3))
-				ran++
+			k.Go("again", func(p *Proc) {
+				for r := 0; r < 3; r++ {
+					p.Sleep(Cycle(1 + i%7))
+					*log = append(*log, fmt.Sprintf("%d:%d", p.Now()-start, i))
+				}
 			})
 		}
+		k.Run()
 	}
-	spawnBurst()
+
+	k := NewKernel()
+	for i := 0; i < burst; i++ {
+		k.Go("burst", func(p *Proc) { p.Sleep(Cycle(1 + i%3)) })
+	}
 	k.Run()
+	// Only a finishing proc calls retireIdle during a run, so spares
+	// before any Release prove the nested stops ran.
+	if len(k.freeProcs) != maxIdleProcs || len(k.spareProcs) != burst-maxIdleProcs {
+		t.Fatalf("after burst: %d pooled, %d spare; want %d, %d",
+			len(k.freeProcs), len(k.spareProcs), maxIdleProcs, burst-maxIdleProcs)
+	}
 	waitGoroutines(t, base+maxIdleProcs)
-	procs := len(k.procs)
-	spawnBurst() // reuses every pooled proc, restarting retired goroutines
-	k.Run()
-	if ran != 2*burst {
-		t.Fatalf("%d tasks ran, want %d", ran, 2*burst)
+
+	var got, want []string
+	respawn(k, &got) // reuses every pooled proc, restarting retired coroutines
+	if len(k.procs) != burst {
+		t.Fatalf("respawn allocated %d new procs, want 0", len(k.procs)-burst)
 	}
-	if len(k.procs) != procs {
-		t.Fatalf("second burst allocated %d new procs, want 0", len(k.procs)-procs)
+	ref := NewKernel()
+	respawn(ref, &want)
+	ref.Release()
+	if !slices.Equal(got, want) {
+		t.Fatalf("respawned schedule differs from a fresh kernel's:\n got %v\nwant %v", got, want)
 	}
 	k.Release()
+	waitGoroutines(t, base)
+}
+
+// panickingTask is a named task, so its frame can be found in a
+// captured stack.
+func panickingTask(p *Proc) {
+	p.Sleep(3)
+	panic("task assertion")
+}
+
+// TestTaskPanicReachesDriverAsProcPanic: a task that panics after a
+// handoff must surface on the driver as a *ProcPanic carrying the task's
+// own stack, not as iter.Pull's re-raise of the bare value.
+func TestTaskPanicReachesDriverAsProcPanic(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	k.Go("ticker", func(p *Proc) {
+		for {
+			p.Sleep(1) // wakes the panicker by handoff at t=3
+		}
+	})
+	k.Go("panicker", panickingTask)
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		k.Run()
+	}()
+	pp, ok := r.(*ProcPanic)
+	if !ok {
+		t.Fatalf("recovered %T %v, want *ProcPanic", r, r)
+	}
+	if pp.Proc != "panicker" || pp.Value != "task assertion" {
+		t.Fatalf("ProcPanic{Proc: %q, Value: %v}, want panicker / task assertion", pp.Proc, pp.Value)
+	}
+	if !bytes.Contains(pp.Stack, []byte("sim.panickingTask")) {
+		t.Fatalf("captured stack lacks the task's frame:\n%s", pp.Stack)
+	}
+	k.Shutdown()
+	waitGoroutines(t, base)
+}
+
+// shardedWalkers runs a walker proc on each of two shards, each logging
+// its steps and sending the other a logged message every step, under
+// the given drive. It returns the per-shard logs and the goroutines that
+// drove shard 1 at the walker's wakes: a callback queued just ahead of
+// each wake runs on the shard's driver while the walker is parked, since
+// a lookahead-3 epoch never spans two of its 10-cycle steps.
+func shardedWalkers(drive func(*Sharded)) (logs [2][]string, drivers map[uint64]bool) {
+	s := NewSharded(2, 3)
+	drivers = map[uint64]bool{}
+	for id := 0; id < 2; id++ {
+		sh := s.Shard(id)
+		period := Cycle(7 + 3*id)
+		sh.K.Go("walker", func(p *Proc) {
+			for i := 0; i < 40; i++ {
+				logs[id] = append(logs[id], fmt.Sprintf("%d walk %d", p.Now(), i))
+				sh.Send(1-id, 3, func() {
+					logs[1-id] = append(logs[1-id], fmt.Sprintf("%d recv %d", s.Shard(1-id).K.Now(), i))
+				})
+				if id == 1 {
+					sh.K.At(p.Now()+period, func() { drivers[goid()] = true })
+				}
+				p.Sleep(period)
+			}
+		})
+	}
+	drive(s)
+	if b := s.Blocked(); len(b) != 0 {
+		panic(fmt.Sprintf("walkers blocked: %v", b))
+	}
+	s.Release()
+	return logs, drivers
+}
+
+// TestShardedProcResumedAcrossWorkers: a proc parked when a sharded
+// drive stops is resumed by whichever goroutine drives its shard next —
+// fresh workers on every RunUntil, the coordinator on a sequenced one —
+// and the simulation must stay identical to RunSequenced.
+func TestShardedProcResumedAcrossWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	want, _ := shardedWalkers(func(s *Sharded) { s.RunSequenced() })
+	parallel := 0
+	got, drivers := shardedWalkers(func(s *Sharded) {
+		for i, limit := range []Cycle{60, 130, 200, 270} {
+			workers := 2 - i%2 // 2 workers, then sequenced, ...
+			parallel += workers / 2
+			s.RunUntil(limit, workers)
+		}
+		s.Run(2)
+		parallel++
+	})
+	for id := range want {
+		if !slices.Equal(got[id], want[id]) {
+			t.Fatalf("shard %d: sliced run\n%v\nsequenced run\n%v", id, got[id], want[id])
+		}
+	}
+	// Each parallel drive has fresh workers; the sequenced ones all run
+	// on the coordinator.
+	if len(drivers) != parallel+1 {
+		t.Fatalf("walker resumed from %d goroutines, want %d", len(drivers), parallel+1)
+	}
 	waitGoroutines(t, base)
 }

@@ -3,13 +3,10 @@
 //
 // The kernel orders events by (time, insertion sequence), so two runs of
 // the same program produce identical schedules. Simulated software threads
-// (Proc) run as goroutines, but exactly one goroutine runs the event loop
-// at a time: whichever holds the baton. A driver (Run, RunUntil, Step)
-// holds it first; a process that blocks keeps popping events itself,
-// running callbacks inline, returning at once on its own wake, and
-// otherwise passing the baton straight to the process it wakes — one
-// goroutine switch per handoff — or back to the driver at the drive's
-// bound.
+// (Proc) run as iter.Pull coroutines, and only the holder of the
+// event-loop baton runs: a driver (Run, RunUntil, Step) first, then each
+// blocked process it resumes, which pops events itself until it wakes
+// another process (see Proc).
 package sim
 
 import "math"
@@ -62,14 +59,13 @@ type Kernel struct {
 	// their waiter backing arrays are worth reusing.
 	waiterPool [][]*Proc
 
-	// freeProcs holds finished Procs whose goroutines are parked awaiting
-	// a next task: spawning recycles them (struct, channel, and goroutine)
-	// instead of allocating. At most maxIdleProcs keep a goroutine; the
-	// longest-idle ones beyond that retire theirs and wait in spareProcs,
-	// where a spawn reuses the struct and channel and starts a fresh
-	// goroutine. Only the goroutine holding the baton touches these
-	// lists, so no locking is needed. Release retires every idle
-	// goroutine.
+	// freeProcs holds finished Procs whose coroutines are suspended
+	// awaiting a next task: spawning recycles them (struct and coroutine)
+	// instead of allocating. At most maxIdleProcs keep a coroutine; the
+	// longest-idle ones beyond that stop theirs and wait in spareProcs,
+	// where a spawn reuses the struct and starts a fresh coroutine. Only
+	// the holder of the baton touches these lists, so no locking is
+	// needed. Release stops every idle coroutine.
 	freeProcs  []*Proc
 	spareProcs []*Proc
 
@@ -97,11 +93,12 @@ type Kernel struct {
 	// clears it on return so it pins nothing between drives.
 	taken event
 
-	// back returns the baton to the driver goroutine when a process
-	// reaches the drive's bound, panics, or unwinds in Shutdown.
-	back chan struct{}
+	// handoff is the process a yielding process hands the baton to: the
+	// drive resumes it next, and nil ends the drive. It is nil while a
+	// process runs.
+	handoff *Proc
 
-	// fault holds a panic raised while a process goroutine held the
+	// fault holds a panic raised while a process coroutine held the
 	// baton — a *ProcPanic from a process's own code, or the original
 	// value from an event run inline — for drive to re-raise on the
 	// driver goroutine, where drivers can recover it.
@@ -129,7 +126,7 @@ func (k *Kernel) SetChooser(c Chooser) { k.chooser = c }
 
 // NewKernel returns an empty kernel at cycle 0 with a single queue.
 func NewKernel() *Kernel {
-	return &Kernel{queues: make([][]event, 1), back: make(chan struct{})}
+	return &Kernel{queues: make([][]event, 1)}
 }
 
 // Partition splits the kernel's event queue into n tile-sharded queues.
@@ -283,7 +280,7 @@ func (k *Kernel) take() *event {
 	return &k.taken
 }
 
-// nextProc runs events inline on the calling goroutine until it takes
+// nextProc runs events inline on the calling coroutine until it takes
 // a process wake, and returns that process; nil means the drive's bound
 // is reached or the queue is empty. Wakes of finished processes are
 // dropped.
@@ -316,15 +313,15 @@ func (k *Kernel) nextProc() *Proc {
 
 // drive runs events in (time, sequence) order until budget events have
 // run, the next event is later than limit, or the queue is empty. The
-// caller's goroutine holds the baton first; when it takes a process
-// wake it hands the baton to that process and waits on k.back until a
-// process returns it at the bound (see Proc.block). A panic that ended
-// the drive on a process goroutine is re-raised here.
+// caller holds the baton first; when it takes a process wake it resumes
+// that process, which runs until it yields with the next process to
+// resume in k.handoff, or nil at the bound (see Proc.block). A panic
+// that ended the drive on a process coroutine is re-raised here.
 func (k *Kernel) drive(limit Cycle, budget uint64) {
 	k.limit, k.budget = limit, budget
-	if p := k.nextProc(); p != nil {
-		p.resume <- false
-		<-k.back
+	for p := k.nextProc(); p != nil; p = k.handoff {
+		k.handoff = nil
+		p.next()
 	}
 	k.taken = event{}
 	if f := k.fault; f != nil {
@@ -501,47 +498,36 @@ func (k *Kernel) RecycleFuture(f *Future) {
 	}
 }
 
-// Release tears down the pooled worker goroutines of finished processes.
-// The kernel stays fully usable — subsequent Go calls start fresh
-// goroutines — so callers (simulation drivers, benchmarks) should invoke
-// it when a run completes to avoid accumulating parked goroutines across
-// many kernels in one process.
+// Release stops the pooled coroutines of finished processes. The kernel
+// stays fully usable — subsequent Go calls start fresh coroutines — so
+// callers (simulation drivers, benchmarks) should invoke it when a run
+// completes to avoid accumulating suspended coroutines across many
+// kernels in one process.
 func (k *Kernel) Release() {
 	for len(k.freeProcs) > 0 {
 		k.retireIdle()
 	}
 }
 
-// retireIdle stops the goroutine of the longest-idle pooled process and
+// retireIdle stops the coroutine of the longest-idle pooled process and
 // keeps the process as a spare.
 func (k *Kernel) retireIdle() {
 	p := k.freeProcs[0]
 	n := copy(k.freeProcs, k.freeProcs[1:])
 	k.freeProcs[n] = nil
 	k.freeProcs = k.freeProcs[:n]
-	p.resume <- true
+	p.stop()
 	k.spareProcs = append(k.spareProcs, p)
 }
 
-// Shutdown abandons an in-flight simulation: every parked process is
-// unwound (via an abort panic its worker loop swallows) and all pooled
-// goroutines are torn down, so a driver that recovered a *ProcPanic can
-// discard the kernel without leaking the goroutines of processes still
-// blocked mid-simulation. The kernel must not be stepped again after
-// Shutdown.
+// Shutdown abandons an in-flight simulation: every coroutine is stopped
+// — parked processes unwind via an abort panic their coroutine swallows,
+// never-dispatched ones never run their task — so a driver that
+// recovered a *ProcPanic can discard the kernel without leaking them.
+// The kernel must not be stepped again after Shutdown.
 func (k *Kernel) Shutdown() {
 	for _, p := range k.procs {
-		if p.done {
-			continue // pooled; Release retires it below
-		}
-		// A stop message retires a never-dispatched proc's goroutine at
-		// its loop head. A proc parked mid-run unwinds its task from
-		// block(); the worker loop swallows the abort, pools itself, and
-		// hands the baton back without running events.
-		p.resume <- true
-		if p.started {
-			<-k.back
-		}
+		p.stop() // a no-op on spares, whose coroutines already ended
 	}
 	k.fault = nil
 	k.Release()

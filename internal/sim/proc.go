@@ -5,34 +5,39 @@ import (
 	"runtime/debug"
 )
 
-// Proc is a simulated software thread. Procs run as goroutines, but only
-// the goroutine holding the kernel's baton runs. A Proc that blocks
-// (Sleep, Wait) runs the event loop itself: callback and future events
-// run inline on its goroutine, its own wake returns at once without a
-// goroutine switch, and another process's wake hands the baton to that
-// process while this one parks on its resume channel. At the drive's
-// bound, or when the queue empties, the baton goes back to the driver.
+// Proc is a simulated software thread. Each Proc runs as an iter.Pull
+// coroutine, and only the coroutine holding the kernel's baton runs. A
+// Proc that blocks (Sleep, Wait) runs the event loop itself: callback
+// and future events run inline on its coroutine, and its own wake
+// returns at once with no switch. To wake another process it records
+// that process in the kernel's handoff slot and yields to the driver,
+// which resumes it: two coroutine switches, no scheduler park. At the
+// drive's bound, or when the queue empties, it yields with no handoff.
 //
-// Finished Procs are pooled: their goroutines park on the resume channel
-// and the next Go/GoArgs reuses the whole structure (struct, channel,
-// goroutine) instead of allocating. This is safe because every park has
-// exactly one wake scheduled (Sleep, Future completion, Semaphore
+// Finished Procs are pooled, their coroutines suspended after the task,
+// and the next Go/GoArgs reuses both. This is safe because every park
+// has exactly one wake scheduled (Sleep, Future completion, Semaphore
 // handoff, WaitGroup drain, Barrier release), so no stale wake event can
 // ever target a recycled Proc. The pool keeps at most maxIdleProcs idle
-// goroutines, and Kernel.Release tears them down when a run is over.
+// coroutines, and Kernel.Release stops them when a run is over.
 //
-// All Proc methods must be called from the Proc's own goroutine (i.e.,
+// All Proc methods must be called from the Proc's own coroutine (i.e.,
 // inside the function passed to Kernel.Go), except Done.
 type Proc struct {
 	k       *Kernel
 	name    string
-	shard   int       // queue affinity on a partitioned kernel (0 otherwise)
-	resume  chan bool // true stops the goroutine: it exits, or unwinds a parked task
+	shard   int // queue affinity on a partitioned kernel (0 otherwise)
 	started bool
 	done    bool
 
+	// next resumes the coroutine and stop ends it; yield, called inside
+	// it, suspends it and reports false once stop was called.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
 	// Task slots: exactly one of fn/fnArgs is set while the proc runs.
-	// They live on the Proc so a pooled goroutine picks up its next task
+	// They live on the Proc so a pooled coroutine picks up its next task
 	// without a per-spawn closure; fnArgs carries two scalar arguments so
 	// hot spawn sites (prefetches, writeback timing) can share one
 	// long-lived function value instead of closing over their operands.
@@ -42,7 +47,7 @@ type Proc struct {
 }
 
 // Go creates a simulated process named name running fn, and schedules it
-// to start at the current cycle. fn runs on its own goroutine; it blocks
+// to start at the current cycle. fn runs on its own coroutine; it blocks
 // the simulation only while actively computing between blocking calls.
 // On a partitioned kernel the process inherits the shard affinity of the
 // event that spawned it; use GoOn to pin it explicitly.
@@ -72,10 +77,10 @@ func (k *Kernel) GoArgs(name string, fn func(p *Proc, a0, a1 uint64), a0, a1 uin
 }
 
 // spawn returns a ready-to-start Proc pinned to shard, recycling a
-// pooled one when available — possibly the very proc whose goroutine is
+// pooled one when available — possibly the very proc whose coroutine is
 // running the spawning event, which then restarts in place. Recycled
-// procs are already in k.procs; fresh ones are appended and their worker
-// goroutine started.
+// procs are already in k.procs; fresh ones are appended. Spares and
+// fresh procs get a new coroutine.
 func (k *Kernel) spawn(shard int, name string) *Proc {
 	shard = k.shardFor(shard)
 	var p *Proc
@@ -87,11 +92,11 @@ func (k *Kernel) spawn(shard int, name string) *Proc {
 		p = k.spareProcs[n-1]
 		k.spareProcs[n-1] = nil
 		k.spareProcs = k.spareProcs[:n-1]
-		go p.loop()
+		p.startCoroutine()
 	} else {
-		p = &Proc{k: k, resume: make(chan bool)}
+		p = &Proc{k: k}
 		k.procs = append(k.procs, p)
-		go p.loop()
+		p.startCoroutine()
 	}
 	p.name = name
 	p.shard = shard
@@ -99,9 +104,9 @@ func (k *Kernel) spawn(shard int, name string) *Proc {
 	return p
 }
 
-// maxIdleProcs bounds the idle goroutines a kernel's proc pool keeps
-// parked. A burst of thousands of engine callbacks would otherwise leave
-// thousands of idle goroutine stacks behind it for the rest of the run.
+// maxIdleProcs bounds the idle coroutines a kernel's proc pool keeps. A
+// burst of thousands of engine callbacks would otherwise leave thousands
+// of idle coroutine stacks behind it for the rest of the run.
 const maxIdleProcs = 64
 
 // scheduleStart queues the proc's first dispatch at the current cycle,
@@ -111,17 +116,13 @@ func (k *Kernel) scheduleStart(p *Proc) {
 	k.push(p.shard, event{when: k.now, seq: k.seq, proc: p, start: true})
 }
 
-// loop is the pooled worker body: run a task, return to the free list,
-// then pass the baton on and park for the next task, until a stop
-// message retires the goroutine. The free-list update is safe without
-// locking because the proc holds the baton. A task that panicked or was
-// aborted by Shutdown hands the baton straight back to the driver
-// without running further events.
-func (p *Proc) loop() {
+// loop is the coroutine body: run a task, return to the free list, pass
+// the baton on and yield until the next dispatch, until stop ends it. The
+// proc holds the baton, so the free list needs no lock. After a panic or
+// a Shutdown abort it yields to the driver without running events.
+func (p *Proc) loop(yield func(struct{}) bool) {
 	k := p.k
-	if <-p.resume {
-		return
-	}
+	p.yield = yield
 	for {
 		aborted := p.runTask()
 		p.fn, p.fnArgs = nil, nil
@@ -130,28 +131,24 @@ func (p *Proc) loop() {
 		if len(k.freeProcs) > maxIdleProcs {
 			k.retireIdle()
 		}
-		switch {
-		case aborted || k.fault != nil:
-			k.back <- struct{}{}
-		case k.pass(p):
+		if !aborted && k.fault == nil && k.pass(p) {
 			continue // an event run here respawned p: restart in place
 		}
-		if <-p.resume {
+		if !yield(struct{}{}) {
 			return
 		}
 	}
 }
 
-// ProcPanic wraps a panic raised on a Proc's goroutine. Procs run on
-// goroutines of their own, where an escaped panic would kill the whole
-// process unrecoverably; the worker loop captures it instead, and the
-// drive re-raises the wrapped value on the driver goroutine, where
-// drivers (tests, the interleaving explorer) can recover it. The
-// panicking goroutine's stack is preserved for crash reports.
+// ProcPanic wraps a panic raised in a Proc's task. The coroutine body
+// captures it, with the task's stack, instead of letting iter.Pull
+// re-raise the bare value, and the drive re-raises the wrapped value on
+// the driver goroutine, where drivers (tests, the interleaving explorer)
+// can recover it.
 type ProcPanic struct {
 	Proc  string // name of the panicking process
 	Value any    // the original panic value
-	Stack []byte // stack of the panicking goroutine at capture
+	Stack []byte // stack of the panicking task at capture
 }
 
 func (e *ProcPanic) Error() string {
@@ -183,35 +180,30 @@ func (p *Proc) runTask() (aborted bool) {
 	return false
 }
 
-// pass runs the event loop on self's goroutine, which holds the baton,
+// pass runs the event loop on self's coroutine, which holds the baton,
 // until it takes a process wake or reaches the drive's bound. It reports
-// true when that wake is self's own: self carries on with no goroutine
-// switch. Otherwise the baton has gone to the woken process or back to
-// the driver, and the caller must park on self.resume. A panic from an
+// true when that wake is self's own: self carries on with no switch.
+// Otherwise it leaves the woken process, or nil at the bound, in
+// k.handoff, and the caller must yield to the driver. A panic from an
 // event run here ends the drive: it is handed to the driver with its
 // original value rather than blamed on self.
 func (k *Kernel) pass(self *Proc) (woke bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			k.fault = r
-			k.back <- struct{}{}
 		}
 	}()
-	switch p := k.nextProc(); p {
-	case self:
-		return true
-	case nil:
-		k.back <- struct{}{}
-	default:
-		p.resume <- false
+	if p := k.nextProc(); p != self {
+		k.handoff = p
+		return false
 	}
-	return false
+	return true
 }
 
 // block parks the calling process until its wake event runs, running the
 // event loop in the meantime (see pass).
 func (p *Proc) block() {
-	if !p.k.pass(p) && <-p.resume {
+	if !p.k.pass(p) && !p.yield(struct{}{}) {
 		panic(procAbort{}) // Shutdown: unwind the task
 	}
 }

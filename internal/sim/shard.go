@@ -227,7 +227,7 @@ func (s *Sharded) runShardEpoch(id int, until Cycle) {
 
 // checkFailures re-raises the lowest-shard panic captured during an
 // epoch, after tearing down every shard's parked processes so the
-// caller can recover without leaking goroutines.
+// caller can recover without leaking coroutines.
 func (s *Sharded) checkFailures() {
 	for _, sh := range s.shards {
 		if sh.failure != nil {
@@ -398,7 +398,7 @@ func (s *Sharded) Blocked() []string {
 	return out
 }
 
-// Release retires every shard kernel's pooled worker goroutines (see
+// Release stops every shard kernel's pooled proc coroutines (see
 // Kernel.Release).
 func (s *Sharded) Release() {
 	for _, sh := range s.shards {
@@ -407,7 +407,7 @@ func (s *Sharded) Release() {
 }
 
 // Shutdown abandons an in-flight sharded simulation: every shard kernel
-// is shut down (parked processes unwound, pooled goroutines retired) and
+// is shut down (parked processes unwound, pooled coroutines stopped) and
 // undelivered mailbox messages are dropped.
 func (s *Sharded) Shutdown() {
 	for _, sh := range s.shards {
