@@ -101,3 +101,32 @@ func TestLoadTrajectoryRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
 }
+
+// The committed trajectories still carry the sharded-engine speedup
+// columns that benchtraj no longer writes; -compare must read them and
+// reproduce the first table of the committed comparison.
+func TestCompareCommittedTrajectories(t *testing.T) {
+	old, err := loadTrajectory("../../BENCH_12.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := loadTrajectory("../../BENCH_13.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	md, err := os.ReadFile("../../BENCH_13.compare.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := bytes.Index(md, []byte("| benchmark |"))
+	end := bytes.Index(md[start:], []byte("\n\n"))
+	if start < 0 || end < 0 {
+		t.Fatal("BENCH_13.compare.md has no comparison table")
+	}
+	want := string(md[start:start+end]) + "\n"
+	var buf bytes.Buffer
+	writeComparison(&buf, compareTrajectories(old, cur))
+	if got := buf.String(); got != want {
+		t.Fatalf("comparison of the committed trajectories:\n%s\nwant:\n%s", got, want)
+	}
+}

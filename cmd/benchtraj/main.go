@@ -64,14 +64,9 @@ type reportSummary struct {
 
 // trajectory is the emitted document.
 type trajectory struct {
-	Benchmarks []benchEntry  `json:"benchmarks"`
-	Sharded    *shardedSpeed `json:"sharded,omitempty"`
-	// ShardedTako is the same speedup column for a täkō machine (live
-	// engines running onMiss callbacks at the home tiles), from
-	// BenchmarkShardedTakoVsPartitioned.
-	ShardedTako *shardedSpeed  `json:"sharded_tako,omitempty"`
-	FFWarmup    *ffSpeed       `json:"ff_warmup,omitempty"`
-	Report      *reportSummary `json:"report,omitempty"`
+	Benchmarks []benchEntry   `json:"benchmarks"`
+	FFWarmup   *ffSpeed       `json:"ff_warmup,omitempty"`
+	Report     *reportSummary `json:"report,omitempty"`
 }
 
 // ffSpeed is the analytical fast-forward speedup column, assembled from
@@ -113,40 +108,8 @@ func buildFFSpeed(entries []benchEntry) *ffSpeed {
 	return &ffSpeed{AnalyticalNsOp: ana, SimulatedNsOp: sim, FFSpeedup: sim / ana}
 }
 
-// shardedRow is one engine variant of the sharded-vs-partitioned
-// machine benchmark, reduced to its best sample.
-type shardedRow struct {
-	Variant string  `json:"variant"`
-	NsOp    float64 `json:"ns_op"`
-	// SpeedupVsPartitioned is partitioned ns/op over this variant's
-	// ns/op (>1: the sharded engine is faster). Omitted for the
-	// partitioned baseline row itself.
-	SpeedupVsPartitioned float64 `json:"speedup_vs_partitioned,omitempty"`
-	// SingleCore marks a row measured on a host with one usable CPU
-	// (cpus or gomaxprocs ≤ 1), where every worker width degenerates to
-	// sequenced execution plus barrier overhead. Such rows are
-	// annotations: trend tooling must not fold their speedups into
-	// multi-core trajectories.
-	SingleCore bool `json:"single_core,omitempty"`
-}
-
-// shardedSpeed is the sharded-vs-partitioned speedup column assembled
-// from BenchmarkShardedVsPartitioned sub-benchmarks.
-type shardedSpeed struct {
-	Baseline string       `json:"baseline"`
-	Rows     []shardedRow `json:"rows"`
-	// SingleCore is set when every sample came from a single-core host:
-	// the whole column is an annotation, not a speedup measurement.
-	SingleCore bool `json:"single_core,omitempty"`
-}
-
-const (
-	shardedBenchName     = "BenchmarkShardedVsPartitioned/"
-	shardedTakoBenchName = "BenchmarkShardedTakoVsPartitioned/"
-)
-
 // benchVariant strips the benchmark prefix and Go's -GOMAXPROCS suffix:
-// "BenchmarkShardedVsPartitioned/sharded-w2-8" → "sharded-w2".
+// "BenchmarkFFWarmup/analytical-8" → "analytical".
 func benchVariant(name string) string {
 	v := name[strings.Index(name, "/")+1:]
 	if i := strings.LastIndex(v, "-"); i > 0 {
@@ -155,76 +118,6 @@ func benchVariant(name string) string {
 		}
 	}
 	return v
-}
-
-// singleCore reports whether a sample ran on an effectively single-core
-// host; samples without the cpus metric are assumed multi-core.
-func singleCore(e benchEntry) bool {
-	if v, ok := e.Metrics["cpus"]; ok && v <= 1 {
-		return true
-	}
-	if v, ok := e.Metrics["gomaxprocs"]; ok && v <= 1 {
-		return true
-	}
-	return false
-}
-
-// buildShardedSpeed pairs one sharded-vs-partitioned machine benchmark's
-// sub-benchmarks (selected by name prefix) into a speedup column.
-// Repeated samples (-count N) reduce to the best (minimum) ns/op;
-// single-core samples are preferred strictly less than multi-core ones —
-// a variant's row is marked single_core only when no multi-core sample
-// exists for it, so a lone single-core sweep is annotated rather than
-// averaged into the column. Returns nil when the benchmark logs carry no
-// paired entries.
-func buildShardedSpeed(entries []benchEntry, prefix string) *shardedSpeed {
-	type acc struct {
-		best       float64
-		singleCore bool
-		seen       bool
-	}
-	byVariant := map[string]*acc{}
-	var order []string
-	for _, e := range entries {
-		if !strings.HasPrefix(e.Name, prefix) {
-			continue
-		}
-		ns, ok := e.Metrics["ns/op"]
-		if !ok {
-			continue
-		}
-		v := benchVariant(e.Name)
-		a := byVariant[v]
-		if a == nil {
-			a = &acc{singleCore: true}
-			byVariant[v] = a
-			order = append(order, v)
-		}
-		single := singleCore(e)
-		switch {
-		case !a.seen, a.singleCore && !single:
-			a.best, a.singleCore, a.seen = ns, single, true
-		case a.singleCore == single && ns < a.best:
-			a.best = ns
-		}
-	}
-	base, ok := byVariant["partitioned"]
-	if !ok || len(order) < 2 {
-		return nil
-	}
-	out := &shardedSpeed{Baseline: "partitioned", SingleCore: true}
-	for _, v := range order {
-		a := byVariant[v]
-		row := shardedRow{Variant: v, NsOp: a.best, SingleCore: a.singleCore}
-		if v != out.Baseline && a.best > 0 {
-			row.SpeedupVsPartitioned = base.best / a.best
-		}
-		if !a.singleCore {
-			out.SingleCore = false
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out
 }
 
 // parseBenchLine parses one `go test -bench` result line:
@@ -321,8 +214,6 @@ func main() {
 		}
 		traj.Benchmarks = append(traj.Benchmarks, entries...)
 	}
-	traj.Sharded = buildShardedSpeed(traj.Benchmarks, shardedBenchName)
-	traj.ShardedTako = buildShardedSpeed(traj.Benchmarks, shardedTakoBenchName)
 	traj.FFWarmup = buildFFSpeed(traj.Benchmarks)
 	if *report != "" {
 		sum, err := loadReport(*report)

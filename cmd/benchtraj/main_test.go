@@ -100,17 +100,6 @@ ok  	tako	3.1s
 	}
 }
 
-const multiCoreLog = `goos: linux
-BenchmarkShardedVsPartitioned/partitioned-8     3  11000000 ns/op  8.000 cpus  8.000 gomaxprocs  300000 sim-cycles/s
-BenchmarkShardedVsPartitioned/sharded-w1-8      3  12000000 ns/op  8.000 cpus  8.000 gomaxprocs  290000 sim-cycles/s
-BenchmarkShardedVsPartitioned/sharded-w4-8      3   5500000 ns/op  8.000 cpus  8.000 gomaxprocs  600000 sim-cycles/s
-PASS
-`
-
-const singleCoreLog = `BenchmarkShardedVsPartitioned/partitioned     2  11000000 ns/op  1.000 cpus  1.000 gomaxprocs
-BenchmarkShardedVsPartitioned/sharded-w4      2  17000000 ns/op  1.000 cpus  1.000 gomaxprocs
-`
-
 func parseLog(t *testing.T, log string) []benchEntry {
 	t.Helper()
 	entries, err := parseBenchOutput(strings.NewReader(log))
@@ -122,10 +111,11 @@ func parseLog(t *testing.T, log string) []benchEntry {
 
 func TestBenchVariant(t *testing.T) {
 	for name, want := range map[string]string{
-		"BenchmarkShardedVsPartitioned/partitioned-8": "partitioned",
-		"BenchmarkShardedVsPartitioned/partitioned":   "partitioned",
-		"BenchmarkShardedVsPartitioned/sharded-w2-16": "sharded-w2",
-		"BenchmarkShardedVsPartitioned/sharded-w2":    "sharded-w2",
+		"BenchmarkFFWarmup/analytical-8": "analytical",
+		"BenchmarkFFWarmup/analytical":   "analytical",
+		"BenchmarkFFWarmup/simulated-16": "simulated",
+		"BenchmarkFFWarmup/simulated":    "simulated",
+		"BenchmarkKernel/queues-w2-16":   "queues-w2",
 	} {
 		if got := benchVariant(name); got != want {
 			t.Errorf("benchVariant(%q) = %q, want %q", name, got, want)
@@ -156,90 +146,7 @@ func TestBuildFFSpeed(t *testing.T) {
 	if buildFFSpeed(parseLog(t, "BenchmarkFFWarmup/analytical-8  10  20000000 ns/op\n")) != nil {
 		t.Error("ff_warmup built from the analytical side alone")
 	}
-	if buildFFSpeed(parseLog(t, multiCoreLog)) != nil {
+	if buildFFSpeed(parseLog(t, "BenchmarkKernelSchedule-8  1000  1200 ns/op\n")) != nil {
 		t.Error("ff_warmup built with no FFWarmup samples")
-	}
-}
-
-func TestBuildShardedSpeedMultiCore(t *testing.T) {
-	sp := buildShardedSpeed(parseLog(t, multiCoreLog), shardedBenchName)
-	if sp == nil {
-		t.Fatal("no sharded summary built")
-	}
-	if sp.SingleCore {
-		t.Error("multi-core sweep marked single-core")
-	}
-	byVariant := map[string]shardedRow{}
-	for _, r := range sp.Rows {
-		byVariant[r.Variant] = r
-	}
-	if s := byVariant["sharded-w4"].SpeedupVsPartitioned; s < 1.99 || s > 2.01 {
-		t.Errorf("sharded-w4 speedup = %v, want 2.0", s)
-	}
-	if s := byVariant["partitioned"].SpeedupVsPartitioned; s != 0 {
-		t.Errorf("baseline row carries a speedup: %v", s)
-	}
-}
-
-// A single-core sweep is annotated — per row and summary-wide — not
-// silently folded into the speedup column; and when both single- and
-// multi-core samples exist for a variant, only the multi-core ones
-// count.
-func TestBuildShardedSpeedSingleCoreAnnotation(t *testing.T) {
-	sp := buildShardedSpeed(parseLog(t, singleCoreLog), shardedBenchName)
-	if sp == nil {
-		t.Fatal("no sharded summary built")
-	}
-	if !sp.SingleCore {
-		t.Error("single-core sweep not annotated at the summary level")
-	}
-	for _, r := range sp.Rows {
-		if !r.SingleCore {
-			t.Errorf("row %s not annotated single-core", r.Variant)
-		}
-	}
-
-	sp = buildShardedSpeed(parseLog(t, singleCoreLog+multiCoreLog), shardedBenchName)
-	if sp.SingleCore {
-		t.Error("mixed sweep marked single-core despite multi-core samples")
-	}
-	for _, r := range sp.Rows {
-		if r.SingleCore {
-			t.Errorf("row %s kept its single-core sample over the multi-core one", r.Variant)
-		}
-		if r.Variant == "sharded-w4" && (r.SpeedupVsPartitioned < 1.99 || r.SpeedupVsPartitioned > 2.01) {
-			t.Errorf("sharded-w4 speedup = %v, want 2.0 (multi-core samples only)", r.SpeedupVsPartitioned)
-		}
-	}
-}
-
-const takoLog = `goos: linux
-BenchmarkShardedTakoVsPartitioned/partitioned-8   3  12000000 ns/op  8.000 cpus  8.000 gomaxprocs
-BenchmarkShardedTakoVsPartitioned/sharded-w4-8    3   4000000 ns/op  8.000 cpus  8.000 gomaxprocs
-PASS
-`
-
-// The täkō-machine column is built from its own benchmark only — the
-// baseline-machine samples never leak into it, and vice versa.
-func TestBuildShardedTakoSpeedIsolated(t *testing.T) {
-	entries := parseLog(t, multiCoreLog+takoLog)
-	tako := buildShardedSpeed(entries, shardedTakoBenchName)
-	if tako == nil {
-		t.Fatal("no sharded_tako summary built")
-	}
-	if len(tako.Rows) != 2 {
-		t.Fatalf("sharded_tako rows = %d, want 2", len(tako.Rows))
-	}
-	for _, r := range tako.Rows {
-		if r.Variant == "sharded-w4" && (r.SpeedupVsPartitioned < 2.99 || r.SpeedupVsPartitioned > 3.01) {
-			t.Errorf("sharded-w4 täkō speedup = %v, want 3.0", r.SpeedupVsPartitioned)
-		}
-	}
-	base := buildShardedSpeed(entries, shardedBenchName)
-	if len(base.Rows) != 3 {
-		t.Fatalf("baseline column rows = %d, want 3 (täkō samples leaked in?)", len(base.Rows))
-	}
-	if buildShardedSpeed(parseLog(t, multiCoreLog), shardedTakoBenchName) != nil {
-		t.Error("sharded_tako column built with no täkō samples")
 	}
 }

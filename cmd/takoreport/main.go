@@ -110,11 +110,9 @@ func main() {
 		jobs      = flag.Int("j", 0, "simulations to run in parallel (0 = GOMAXPROCS)")
 		tilePar   = flag.Int("tile-par", 1, "tile queues to partition each simulation's event kernel into (1 = sequential single-queue kernel; the report is identical at any width)")
 
-		sharded      = flag.Bool("sharded", false, "host the machine (baseline or täkō) on the tile-sharded message-passing engine (cycle counts differ from the classic engine; byte-identical at any -shard-workers)")
-		shardWorkers = flag.Int("shard-workers", 0, "worker goroutines per sharded simulation (≤1 = deterministic sequenced schedule)")
-		out          = flag.String("out", "", "also write the report to this file")
-		skip         = flag.String("skip", "", "comma-separated experiment ids to skip")
-		bench        = flag.String("bench", "", "write per-experiment metrics (JSON) to this file")
+		out   = flag.String("out", "", "also write the report to this file")
+		skip  = flag.String("skip", "", "comma-separated experiment ids to skip")
+		bench = flag.String("bench", "", "write per-experiment metrics (JSON) to this file")
 
 		golden       = flag.String("golden", "", "compare each experiment's op count against this golden JSON (requires -bench)")
 		updateGolden = flag.Bool("update-golden", false, "rewrite the -golden file from this run instead of comparing")
@@ -144,7 +142,6 @@ func main() {
 
 	sched.SetWorkers(*jobs)
 	system.SetDefaultTilePar(*tilePar)
-	system.SetDefaultSharded(*sharded, *shardWorkers)
 	system.SetDefaultFastForward(*ff, *ffAuto)
 	if err := exp.SetScale(*scaleTier); err != nil {
 		fmt.Fprintf(os.Stderr, "takoreport: %v\n", err)

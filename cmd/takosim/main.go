@@ -98,9 +98,7 @@ func main() {
 		jobs    = flag.Int("j", 0, "simulations to run in parallel (0 = GOMAXPROCS; output is identical at any -j)")
 		tilePar = flag.Int("tile-par", 1, "tile queues to partition each simulation's event kernel into (1 = sequential single-queue kernel; output is identical at any width, and the flag composes with -j)")
 
-		sharded      = flag.Bool("sharded", false, "host the machine (baseline or täkō) on the tile-sharded message-passing engine — one kernel per tile, cross-tile traffic as lookahead-respecting messages; cycle counts differ from the classic engine but are byte-identical at any -shard-workers")
-		shardWorkers = flag.Int("shard-workers", 0, "worker goroutines per sharded simulation (≤1 = deterministic sequenced schedule; results identical at any count)")
-		verify       = flag.Bool("verify", false, "run with coherence-freshness assertions and the periodic hierarchy-wide invariant checker (slower; panics on the first violation)")
+		verify = flag.Bool("verify", false, "run with coherence-freshness assertions and the periodic hierarchy-wide invariant checker (slower; panics on the first violation)")
 
 		metricsOut  = flag.String("metrics", "", "write per-run metrics snapshots (JSON) to this file")
 		traceOut    = flag.String("trace", "", "stream structured trace events to this file")
@@ -131,7 +129,6 @@ func main() {
 
 	sched.SetWorkers(*jobs)
 	system.SetDefaultTilePar(*tilePar)
-	system.SetDefaultSharded(*sharded, *shardWorkers)
 	system.SetDefaultFastForward(*ff, *ffAuto)
 	if err := exp.SetScale(*scale); err != nil {
 		fmt.Fprintf(os.Stderr, "takosim: %v\n", err)

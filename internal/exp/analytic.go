@@ -292,7 +292,7 @@ func init() {
 				"tier", "vertices", "edges", "ff-accesses", "window", "est-L1-miss", "est-L2-miss", "est-L3-miss", "window-cycles", "dram-accesses")
 			t.AddRowf(tr.name, tr.v, tr.e, ffAcc, tr.window,
 				fmt.Sprintf("%.4f", est.L1Miss), fmt.Sprintf("%.4f", est.L2Miss),
-				fmt.Sprintf("%.4f", est.L3Miss), uint64(cycles), s.H.DRAMAccesses())
+				fmt.Sprintf("%.4f", est.L3Miss), uint64(cycles), s.H.DRAM.Accesses())
 			return t, nil
 		},
 	})

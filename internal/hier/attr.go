@@ -74,25 +74,17 @@ type slowEntry struct {
 	truncated bool
 }
 
-// slowRing is one top-K ring of slow accesses, sorted ascending by
-// latency so the cheapest survivor is always slow[0]. K == 0 keeps none.
-// Classic builds keep a single ring (txnAttr.ring); sharded builds keep
-// one per tile (tile.slow) — each touched only from its own shard — and
-// merge them deterministically in SlowestAccesses.
-type slowRing struct {
-	k    int
-	slow []slowEntry
-}
-
 // txnAttr is the armed attribution state of one hierarchy: pre-resolved
 // dwell/total histogram handles (nil for states a kind can never leave,
-// so a bogus observation would fault loudly in tests) and the classic
-// slow ring.
+// so a bogus observation would fault loudly in tests) and the slow ring.
 type txnAttr struct {
 	dwell [nTxnKinds][nTxnStates]*stats.Histogram
 	total [nTxnKinds]*stats.Histogram
 
-	ring slowRing
+	// slow is the top-K ring, sorted ascending by latency so the
+	// cheapest survivor is always slow[0]. K == 0 keeps none.
+	k    int
+	slow []slowEntry
 }
 
 // txnSpanNames pre-renders the per-state trace span kinds so armed
@@ -110,9 +102,9 @@ var txnSpanNames = func() [nTxnStates]string {
 // dwell is observed when leaving a state, so states a kind never leaves
 // (or never enters) would only bloat every snapshot with dead entries.
 func newTxnAttr(r *stats.Registry, slowestK int) *txnAttr {
-	a := &txnAttr{ring: slowRing{k: slowestK}}
-	if a.ring.k > 0 {
-		a.ring.slow = make([]slowEntry, 0, a.ring.k)
+	a := &txnAttr{k: slowestK}
+	if a.k > 0 {
+		a.slow = make([]slowEntry, 0, a.k)
 	}
 	for k := 0; k < nTxnKinds; k++ {
 		kl := stats.L("kind", txnKindNames[k])
@@ -149,14 +141,11 @@ func (t *txn) observeDwell(a *txnAttr, now sim.Cycle) {
 		}
 	}
 	if t.h.tracer != nil && d > 0 {
-		// The track (and, sharded, the per-shard buffer) follows the tile
-		// whose kernel runs this transaction: the issuing tile for access
-		// and private-flush txns, the home bank otherwise.
-		comp, tile := t.h.comp.l2[t.tileID], t.tileID
+		comp := t.h.comp.l2[t.tileID]
 		if t.kind != kindAccess && (t.kind != kindFlushEvict || t.flushBank) {
-			comp, tile = t.h.comp.l3[t.home], t.home
+			comp = t.h.comp.l3[t.home]
 		}
-		t.h.tracerAt(tile).EmitSpan(uint64(t.stateEnter), uint64(now), comp, txnSpanNames[t.state], "")
+		t.h.tracer.EmitSpan(uint64(t.stateEnter), uint64(now), comp, txnSpanNames[t.state], "")
 	}
 	t.stateEnter = now
 }
@@ -169,32 +158,25 @@ func (t *txn) finishAttr(a *txnAttr) {
 	total := uint64(t.p.Now() - t.opStart)
 	a.total[t.kind].Observe(total)
 	if t.track {
-		// Demand accesses finish on their issuing tile's kernel, so on a
-		// sharded build each tile offers into its own ring — no locking,
-		// and the ring contents depend only on that tile's own accesses.
-		r := &a.ring
-		if t.h.sharded {
-			r = &t.h.tiles[t.tileID].slow
-		}
-		r.offer(t, total)
+		a.offer(t, total)
 	}
 }
 
 // offer inserts a tracked access into the ring if it is slower than the
 // cheapest survivor (or the ring has room). The evicted entry's timeline
 // slice is reused for the copy, so a warmed ring stops allocating.
-func (r *slowRing) offer(t *txn, lat uint64) {
-	if r.k == 0 {
+func (a *txnAttr) offer(t *txn, lat uint64) {
+	if a.k == 0 {
 		return
 	}
 	var reuse []tlSeg
-	if len(r.slow) >= r.k {
-		if lat <= r.slow[0].lat {
+	if len(a.slow) >= a.k {
+		if lat <= a.slow[0].lat {
 			return
 		}
-		reuse = r.slow[0].tl[:0]
-		copy(r.slow, r.slow[1:])
-		r.slow = r.slow[:len(r.slow)-1]
+		reuse = a.slow[0].tl[:0]
+		copy(a.slow, a.slow[1:])
+		a.slow = a.slow[:len(a.slow)-1]
 	}
 	e := slowEntry{
 		tile:      t.tileID,
@@ -208,53 +190,22 @@ func (r *slowRing) offer(t *txn, lat uint64) {
 	// Insert keeping ascending latency order; among equals the earlier
 	// access stays closer to eviction, so the newest equal survivor wins
 	// ties deterministically.
-	i := sort.Search(len(r.slow), func(i int) bool { return r.slow[i].lat > lat })
-	r.slow = append(r.slow, slowEntry{})
-	copy(r.slow[i+1:], r.slow[i:])
-	r.slow[i] = e
+	i := sort.Search(len(a.slow), func(i int) bool { return a.slow[i].lat > lat })
+	a.slow = append(a.slow, slowEntry{})
+	copy(a.slow[i+1:], a.slow[i:])
+	a.slow[i] = e
 }
 
 // SlowestAccesses returns the captured slowest demand accesses, slowest
 // first, with rendered state timelines. Nil when attribution is disarmed
-// or SlowestK is 0. On a sharded build the per-tile rings are merged
-// here: every survivor is collected, sorted by a total order (latency,
-// then tile, then start, then address), and the global top K kept — each
-// tile's ring is deterministic, so the merge is byte-identical at any
-// worker count.
+// or SlowestK is 0.
 func (h *Hierarchy) SlowestAccesses() []SlowAccess {
-	if h.attr == nil {
+	if h.attr == nil || len(h.attr.slow) == 0 {
 		return nil
 	}
-	entries := h.attr.ring.slow
-	if h.sharded {
-		var all []slowEntry
-		for _, t := range h.tiles {
-			all = append(all, t.slow.slow...)
-		}
-		sort.SliceStable(all, func(i, j int) bool {
-			a, b := &all[i], &all[j]
-			if a.lat != b.lat {
-				return a.lat < b.lat
-			}
-			if a.tile != b.tile {
-				return a.tile < b.tile
-			}
-			if a.start != b.start {
-				return a.start < b.start
-			}
-			return a.la < b.la
-		})
-		if len(all) > h.attr.ring.k {
-			all = all[len(all)-h.attr.ring.k:]
-		}
-		entries = all
-	}
-	if len(entries) == 0 {
-		return nil
-	}
-	out := make([]SlowAccess, 0, len(entries))
-	for i := len(entries) - 1; i >= 0; i-- {
-		e := &entries[i]
+	out := make([]SlowAccess, 0, len(h.attr.slow))
+	for i := len(h.attr.slow) - 1; i >= 0; i-- {
+		e := &h.attr.slow[i]
 		s := SlowAccess{
 			Tile:      e.tile,
 			Addr:      e.la.String(),

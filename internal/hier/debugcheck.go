@@ -13,7 +13,7 @@ import (
 // for configs built by DefaultConfig with SetVerifyDefaults.
 
 func (h *Hierarchy) debugDir(la mem.Addr) string {
-	e := h.dirT(la).get(la)
+	e := h.dir.get(la)
 	if e == nil {
 		return "dir{}"
 	}

@@ -22,9 +22,8 @@ import (
 // Fast-forward is exact functionally (values, including atomics, are
 // bit-identical to full simulation on the cooperative kernel) and
 // approximate temporally (warmup cycles are estimated, not simulated),
-// so it is default-off and runs only on classic-kernel baseline
-// (NoTako) machines: morph callbacks and the sharded message protocol
-// both need the event kernel per access.
+// so it is default-off and runs only on baseline (NoTako) machines:
+// morph callbacks need the event kernel per access.
 
 // ffChunk is the access count between auto-convergence checks; ffRetime
 // the count between sleep-batch latency refreshes.
@@ -124,12 +123,8 @@ func FFSnapshot() FFView {
 // core accesses (auto mode may switch earlier once per-level miss
 // ratios converge; budget 0 with auto selects the default cap). space
 // attributes the collector's reuse histograms to named regions and may
-// be nil. Classic-kernel baseline machines only.
+// be nil. Baseline machines only.
 func (h *Hierarchy) EnableFastForward(budget uint64, auto bool, space *mem.Space) {
-	if h.sharded {
-		panic("hier: -ff/-ff-auto with -sharded is unsupported (the analytical warmup replays one global " +
-			"access stream on the classic kernel); drop -sharded, or drop the fast-forward flags")
-	}
 	if h.registry != nil {
 		panic("hier: -ff/-ff-auto on a täkō machine is unsupported (morph callbacks need the event kernel " +
 			"per access); fast-forward baseline (Config.NoTako) machines, or drop the fast-forward flags")

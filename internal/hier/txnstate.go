@@ -172,8 +172,7 @@ var txnLegal = func() [nTxnKinds][nTxnStates]stateMask {
 }()
 
 // txnCountTable is one tile's slice of the transaction coverage table:
-// observed transitions per (kind, from, to). Counts live per tile so a
-// sharded build increments without synchronization; TxnCoverage sums.
+// observed transitions per (kind, from, to); TxnCoverage sums the tiles.
 type txnCountTable [nTxnKinds][nTxnStates][nTxnStates]uint64
 
 // TxnTransition is one observed state-machine edge with its hit count;

@@ -8,8 +8,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"tako/internal/flat"
 )
@@ -118,7 +116,7 @@ type Memory struct {
 	index  flat.Table[int32] // page number -> index into chunks
 	chunks []*pageChunk
 	slab   []pageChunk // current slab; chunks are carved off its front
-	lines  int64       // materialized lines (PopulatedLines)
+	lines  int         // materialized lines (PopulatedLines)
 
 	// Reads and Writes count line-granularity accesses for DRAM
 	// traffic accounting done by callers that bypass the timing model
@@ -127,15 +125,6 @@ type Memory struct {
 	// ReadU32) bump Reads; mutating accessors (LineAt, WriteLine,
 	// WriteU64, WriteU32) bump Writes.
 	Reads, Writes uint64
-
-	// Concurrent mode (SetConcurrent): the page index is guarded by an
-	// RWMutex (reads take the read lock; first-touch allocation the write
-	// lock), the touched bitmaps and counters become atomic, and line
-	// contents rely on the caller's coherence protocol to never write one
-	// line from two shards in the same epoch — which the sharded hierarchy
-	// guarantees (lines are only written at their home shard).
-	conc bool
-	mu   sync.RWMutex
 }
 
 // NewMemory returns an empty (all-zero) backing store.
@@ -143,49 +132,16 @@ func NewMemory() *Memory {
 	return &Memory{}
 }
 
-// SetConcurrent makes the store safe to share between sharded-kernel
-// worker goroutines (see the Memory doc comment). Call before the
-// simulation runs. Counter totals and the populated-line count are
-// accumulated commutatively, so they are worker-count independent.
-func (m *Memory) SetConcurrent() { m.conc = true }
-
 // chunkFor returns the page chunk holding a, claiming one from the slab
 // on first touch when alloc is set (nil otherwise).
 func (m *Memory) chunkFor(a Addr, alloc bool) *pageChunk {
 	page := uint64(a) >> PageShift
-	if m.conc {
-		m.mu.RLock()
-		var ch *pageChunk
-		i, ok := m.index.Get(page)
-		if ok {
-			ch = m.chunks[i]
-		}
-		m.mu.RUnlock()
-		if ok {
-			return ch
-		}
-		if !alloc {
-			return nil
-		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if i, ok := m.index.Get(page); ok { // raced with another allocator
-			return m.chunks[i]
-		}
-		return m.claim(page)
-	}
 	if i, ok := m.index.Get(page); ok {
 		return m.chunks[i]
 	}
 	if !alloc {
 		return nil
 	}
-	return m.claim(page)
-}
-
-// claim carves a fresh chunk for page (index/slab mutation; callers hold
-// the write lock in concurrent mode).
-func (m *Memory) claim(page uint64) *pageChunk {
 	if len(m.slab) == 0 {
 		m.slab = make([]pageChunk, slabChunks)
 	}
@@ -202,41 +158,11 @@ func (m *Memory) claim(page uint64) *pageChunk {
 func (m *Memory) lineAt(a Addr) *Line {
 	ch := m.chunkFor(a, true)
 	li := (uint64(a) >> LineShift) & (LinesPerPage - 1)
-	bit := uint64(1) << li
-	if m.conc {
-		for {
-			old := atomic.LoadUint64(&ch.touched)
-			if old&bit != 0 {
-				break
-			}
-			if atomic.CompareAndSwapUint64(&ch.touched, old, old|bit) {
-				atomic.AddInt64(&m.lines, 1)
-				break
-			}
-		}
-	} else if ch.touched&bit == 0 {
+	if bit := uint64(1) << li; ch.touched&bit == 0 {
 		ch.touched |= bit
 		m.lines++
 	}
 	return &ch.lines[li]
-}
-
-// addReads/addWrites bump the traffic counters (atomically in concurrent
-// mode).
-func (m *Memory) addReads() {
-	if m.conc {
-		atomic.AddUint64(&m.Reads, 1)
-		return
-	}
-	m.Reads++
-}
-
-func (m *Memory) addWrites() {
-	if m.conc {
-		atomic.AddUint64(&m.Writes, 1)
-		return
-	}
-	m.Writes++
 }
 
 // LineAt returns a mutable pointer to the line containing a, allocating
@@ -244,7 +170,7 @@ func (m *Memory) addWrites() {
 // lifetime. Because the caller receives mutable access, LineAt counts as
 // one line write.
 func (m *Memory) LineAt(a Addr) *Line {
-	m.addWrites()
+	m.Writes++
 	return m.lineAt(a)
 }
 
@@ -255,43 +181,38 @@ func (m *Memory) PeekLine(a Addr, dst *Line) {
 	} else {
 		*dst = Line{}
 	}
-	m.addReads()
+	m.Reads++
 }
 
 // WriteLine stores src as the line containing a.
 func (m *Memory) WriteLine(a Addr, src *Line) {
 	*m.lineAt(a) = *src
-	m.addWrites()
+	m.Writes++
 }
 
 // ReadU64 reads the 64-bit word at a (must be 8-aligned).
 func (m *Memory) ReadU64(a Addr) uint64 {
-	m.addReads()
+	m.Reads++
 	return m.lineAt(a).U64(a.Offset())
 }
 
 // WriteU64 writes the 64-bit word at a (must be 8-aligned).
 func (m *Memory) WriteU64(a Addr, v uint64) {
-	m.addWrites()
+	m.Writes++
 	m.lineAt(a).SetU64(a.Offset(), v)
 }
 
 // ReadU32 reads the 32-bit word at a (must be 4-aligned).
 func (m *Memory) ReadU32(a Addr) uint32 {
-	m.addReads()
+	m.Reads++
 	return m.lineAt(a).U32(a.Offset())
 }
 
 // WriteU32 writes the 32-bit word at a (must be 4-aligned).
 func (m *Memory) WriteU32(a Addr, v uint32) {
-	m.addWrites()
+	m.Writes++
 	m.lineAt(a).SetU32(a.Offset(), v)
 }
 
 // PopulatedLines returns the number of lines that have been touched.
-func (m *Memory) PopulatedLines() int {
-	if m.conc {
-		return int(atomic.LoadInt64(&m.lines))
-	}
-	return int(m.lines)
-}
+func (m *Memory) PopulatedLines() int { return m.lines }

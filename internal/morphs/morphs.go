@@ -45,7 +45,10 @@ type Result struct {
 
 // collect snapshots system-wide metrics into a Result after a run.
 func collect(s *system.System, study, variant string, cycles sim.Cycle) Result {
-	phase := s.H.DRAMPhaseAccesses()
+	phase := make(map[string]uint64, len(s.H.DRAM.PhaseAccesses))
+	for k, v := range s.H.DRAM.PhaseAccesses {
+		phase[k] = v
+	}
 	extra := map[string]float64{}
 	for _, name := range []string{
 		"l1.hits", "l1.misses", "l2.hits", "l2.misses",
@@ -67,7 +70,7 @@ func collect(s *system.System, study, variant string, cycles sim.Cycle) Result {
 		EnergyPJ:     s.Meter.TotalPJ(),
 		CoreInstrs:   s.TotalInstrs(),
 		EngineInstrs: s.EngineInstrs(),
-		DRAMAccesses: s.H.DRAMAccesses(),
+		DRAMAccesses: s.H.DRAM.Accesses(),
 		DRAMPhase:    phase,
 		Mispredicts:  s.Mispredicts(),
 		Extra:        extra,

@@ -8,7 +8,6 @@ package noc
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"tako/internal/energy"
 	"tako/internal/sim"
@@ -43,12 +42,6 @@ type Mesh struct {
 	// flit-hops, for reports.
 	Transfers uint64
 	FlitHops  uint64
-
-	// conc (SetConcurrent) switches the counters above to atomic adds so
-	// Transfer may be called from any shard of a sharded kernel; adds
-	// commute, so totals stay worker-count independent. The registry and
-	// meter handles must have been made concurrent by the caller.
-	conc bool
 
 	// Registry handles (AttachMetrics; nil-safe when never attached).
 	mTransfers *stats.Counter
@@ -121,37 +114,13 @@ func (m *Mesh) Latency(from, to, bytes int) sim.Cycle {
 	return head + sim.Cycle(m.Flits(bytes)-1)
 }
 
-// MinCrossTileLatency returns the smallest latency any message between
-// two distinct tiles can have: one hop (adjacent tiles) carrying a
-// single flit. This is the conservative lookahead for tile-sharded
-// parallel simulation — no cross-tile interaction modeled through the
-// mesh can take effect sooner, so shards may advance that many cycles
-// between synchronization barriers (see sim.Sharded).
-func (m *Mesh) MinCrossTileLatency() sim.Cycle {
-	if m.Tiles() == 1 {
-		// Degenerate single-tile mesh: no cross-tile messages exist; any
-		// positive lookahead is safe.
-		return 1
-	}
-	return m.cfg.RouterDelay + m.cfg.LinkDelay
-}
-
-// SetConcurrent switches the mesh's accounting to atomic accumulation
-// for sharded-kernel runs.
-func (m *Mesh) SetConcurrent() { m.conc = true }
-
 // Transfer accounts for a message (energy + stats) and returns its
 // latency. Callers add the returned latency into their transaction.
 func (m *Mesh) Transfer(from, to, bytes int) sim.Cycle {
 	hops := m.Hops(from, to)
 	flits := m.Flits(bytes)
-	if m.conc {
-		atomic.AddUint64(&m.Transfers, 1)
-		atomic.AddUint64(&m.FlitHops, uint64(hops*flits))
-	} else {
-		m.Transfers++
-		m.FlitHops += uint64(hops * flits)
-	}
+	m.Transfers++
+	m.FlitHops += uint64(hops * flits)
 	m.mTransfers.Inc()
 	m.mFlitHops.Add(uint64(hops * flits))
 	m.mMsgFlits.Observe(uint64(flits))

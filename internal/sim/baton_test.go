@@ -328,66 +328,3 @@ func TestTaskPanicReachesDriverAsProcPanic(t *testing.T) {
 	k.Shutdown()
 	waitGoroutines(t, base)
 }
-
-// shardedWalkers runs a walker proc on each of two shards, each logging
-// its steps and sending the other a logged message every step, under
-// the given drive. It returns the per-shard logs and the goroutines that
-// drove shard 1 at the walker's wakes: a callback queued just ahead of
-// each wake runs on the shard's driver while the walker is parked, since
-// a lookahead-3 epoch never spans two of its 10-cycle steps.
-func shardedWalkers(drive func(*Sharded)) (logs [2][]string, drivers map[uint64]bool) {
-	s := NewSharded(2, 3)
-	drivers = map[uint64]bool{}
-	for id := 0; id < 2; id++ {
-		sh := s.Shard(id)
-		period := Cycle(7 + 3*id)
-		sh.K.Go("walker", func(p *Proc) {
-			for i := 0; i < 40; i++ {
-				logs[id] = append(logs[id], fmt.Sprintf("%d walk %d", p.Now(), i))
-				sh.Send(1-id, 3, func() {
-					logs[1-id] = append(logs[1-id], fmt.Sprintf("%d recv %d", s.Shard(1-id).K.Now(), i))
-				})
-				if id == 1 {
-					sh.K.At(p.Now()+period, func() { drivers[goid()] = true })
-				}
-				p.Sleep(period)
-			}
-		})
-	}
-	drive(s)
-	if b := s.Blocked(); len(b) != 0 {
-		panic(fmt.Sprintf("walkers blocked: %v", b))
-	}
-	s.Release()
-	return logs, drivers
-}
-
-// TestShardedProcResumedAcrossWorkers: a proc parked when a sharded
-// drive stops is resumed by whichever goroutine drives its shard next —
-// fresh workers on every RunUntil, the coordinator on a sequenced one —
-// and the simulation must stay identical to RunSequenced.
-func TestShardedProcResumedAcrossWorkers(t *testing.T) {
-	base := runtime.NumGoroutine()
-	want, _ := shardedWalkers(func(s *Sharded) { s.RunSequenced() })
-	parallel := 0
-	got, drivers := shardedWalkers(func(s *Sharded) {
-		for i, limit := range []Cycle{60, 130, 200, 270} {
-			workers := 2 - i%2 // 2 workers, then sequenced, ...
-			parallel += workers / 2
-			s.RunUntil(limit, workers)
-		}
-		s.Run(2)
-		parallel++
-	})
-	for id := range want {
-		if !slices.Equal(got[id], want[id]) {
-			t.Fatalf("shard %d: sliced run\n%v\nsequenced run\n%v", id, got[id], want[id])
-		}
-	}
-	// Each parallel drive has fresh workers; the sequenced ones all run
-	// on the coordinator.
-	if len(drivers) != parallel+1 {
-		t.Fatalf("walker resumed from %d goroutines, want %d", len(drivers), parallel+1)
-	}
-	waitGoroutines(t, base)
-}

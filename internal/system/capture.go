@@ -176,9 +176,6 @@ func (s *System) attachCapture() {
 	active.nextPid++
 	s.captured = true
 	if active.cfg.Sink != nil {
-		// Sharded hierarchies fork the tracer per tile and merge the
-		// buffers back in canonical (cycle, shard, seq) order at
-		// FinishStats, so the same wiring serves both build shapes.
 		capacity := active.cfg.TraceCapacity
 		if capacity == 0 {
 			capacity = 4096

@@ -13,7 +13,6 @@ import (
 	"tako/internal/engine"
 	"tako/internal/hier"
 	"tako/internal/mem"
-	"tako/internal/noc"
 	"tako/internal/sim"
 	"tako/internal/trace"
 )
@@ -36,30 +35,12 @@ type Config struct {
 	// and exp.TestTileParMatchesSequential pin this. 0 means
 	// DefaultTilePar(); 1 forces the single-queue kernel.
 	TilePar int
-	// Sharded hosts the machine on a sim.Sharded engine — one shard (its
-	// own kernel and clock) per tile, cross-tile interactions carried by
-	// lookahead-respecting messages — for real parallel speedup on a
-	// single simulation. Baseline and täkō machines both shard: the Morph
-	// registry is partitioned per tile, engines run on their tile's shard
-	// kernel, and registration/flush/persist traffic rides the message
-	// protocol. Unlike TilePar, which only re-buckets events under one
-	// global clock, sharded execution changes the timing model: cross-tile
-	// operations pay real message round trips, so cycle counts differ
-	// from the classic engine. Results are still byte-identical across
-	// ShardWorkers values (and to the sequenced schedule), which is what
-	// the determinism battery pins.
-	Sharded bool
-	// ShardWorkers is the worker-goroutine count for a Sharded run.
-	// ≤ 1 runs the deterministic sequenced schedule inline; n ≥ 2 runs n
-	// workers with identical simulated results. Ignored unless Sharded.
-	ShardWorkers int
 	// FastForward, when > 0, runs the machine's first N core memory
 	// accesses through the analytical fast-forward engine (hier/ff.go):
 	// functionally exact execution against the backing store feeding a
 	// reuse-distance collector, then warm-state seeding when the event
-	// kernel switches on. Classic-kernel baseline (NoTako) machines
-	// only; ignored (with full simulation instead) on täkō and sharded
-	// machines. Warmup timing is estimated rather than simulated, so
+	// kernel switches on. Baseline (NoTako) machines only; ignored (with
+	// full simulation instead) on täkō machines. Warmup timing is estimated rather than simulated, so
 	// cycle counts differ from a full run — default off, and
 	// fast-forwarded configurations carry their own goldens.
 	FastForward uint64
@@ -88,34 +69,21 @@ func SetDefaultTilePar(n int) {
 // DefaultTilePar returns the current package-wide shard-width default.
 func DefaultTilePar() int { return defaultTilePar }
 
-// defaultSharded, when armed via SetDefaultSharded, hosts every baseline
-// (NoTako) machine whose Config left the kernel organization unspecified
-// (TilePar == 0, Sharded false) on the tile-sharded engine. The -sharded
-// CLI flag sets it once; täkō machines and configs that pick an engine
-// explicitly are unaffected.
-var (
-	defaultSharded      = false
-	defaultShardWorkers = 0
-)
-
-// SetDefaultSharded arms (or disarms) sharded-by-default execution for
-// baseline machines, with the given worker count (≤ 1: the deterministic
-// sequenced schedule; results are byte-identical either way).
+// SetDefaultSharded is kept for callers written against the removed
+// sharded message-passing engine (docs/performance.md, "Sharded engine:
+// measured and removed"). SetDefaultSharded(false, …) does nothing;
+// arming it panics.
 func SetDefaultSharded(on bool, workers int) {
-	defaultSharded = on
-	if workers < 0 {
-		workers = 0
+	if on {
+		panic("system: the sharded engine was removed (docs/performance.md, " +
+			"\"Sharded engine: measured and removed\"); use the partitioned kernel (-tile-par)")
 	}
-	defaultShardWorkers = workers
 }
 
-// DefaultSharded reports the package-wide sharded default.
-func DefaultSharded() (bool, int) { return defaultSharded, defaultShardWorkers }
-
-// defaultFF mirrors SetDefaultTilePar/SetDefaultSharded for the
-// analytical fast-forward warmup: the -ff / -ff-auto CLI flags set it
-// once and every baseline machine built afterwards picks it up, unless
-// its Config chose explicitly.
+// defaultFF mirrors SetDefaultTilePar for the analytical fast-forward
+// warmup: the -ff / -ff-auto CLI flags set it once and every baseline
+// machine built afterwards picks it up, unless its Config chose
+// explicitly.
 var (
 	defaultFFAccesses uint64
 	defaultFFAuto     bool
@@ -152,8 +120,7 @@ func Scaled(tiles, factor int) Config {
 
 // System is an assembled machine.
 type System struct {
-	K     *sim.Kernel  // nil on a sharded build (each shard owns a kernel)
-	Sh    *sim.Sharded // non-nil on a sharded build
+	K     *sim.Kernel
 	Meter *energy.Meter
 	Space *mem.Space
 	Tako  *core.Tako
@@ -162,7 +129,6 @@ type System struct {
 	Cores []*cpu.Core
 
 	threads int
-	workers int // Sharded run's worker count (≤ 1: sequenced)
 	shards  int // tile queues on a partitioned kernel (0: unpartitioned)
 
 	// Capture state (capture.go): set when a process-wide observability
@@ -173,22 +139,6 @@ type System struct {
 
 // New builds and wires a System.
 func New(cfg Config) *System {
-	if !cfg.Sharded && defaultSharded && cfg.TilePar == 0 &&
-		cfg.FastForward == 0 && !cfg.FFAuto && defaultFFAccesses == 0 && !defaultFFAuto {
-		// The -sharded default applies to any machine — baseline or täkō —
-		// that left the kernel organization unspecified; a config that
-		// chose an engine explicitly (TilePar ≥ 1, or Sharded itself)
-		// wins — as does fast-forward warmup (the config's or the -ff
-		// flags'), which needs the classic kernel.
-		cfg.Sharded = true
-		if cfg.ShardWorkers == 0 {
-			cfg.ShardWorkers = defaultShardWorkers
-		}
-		cfg.Hier.FreshChecks = false
-	}
-	if cfg.Sharded {
-		return newSharded(cfg)
-	}
 	k := sim.NewKernel()
 	meter := energy.NewMeter()
 	space := mem.NewSpace()
@@ -235,50 +185,12 @@ func New(cfg Config) *System {
 	return s
 }
 
-// newSharded assembles a machine hosted on a sim.Sharded engine: one
-// shard per tile, each with its own kernel and clock, synchronized in
-// conservative lookahead-wide epochs. The hierarchy's cross-tile paths
-// (directory actions, home-line locks, snoops, remote DRAM) run as
-// messages between shards; everything tile-private — cores, private
-// caches, MSHRs, the transaction state machine — runs undisturbed on its
-// tile's shard. täkō machines shard too: the Morph registry keeps one
-// view per tile, engines run on their tile's shard kernel, and
-// registration broadcasts, flushes, and persists ride the same message
-// protocol.
-func newSharded(cfg Config) *System {
-	if cfg.FastForward > 0 || cfg.FFAuto {
-		panic("system: -sharded with -ff/-ff-auto is unsupported (the analytical warmup replays on the " +
-			"classic global-clock kernel); drop -sharded, or drop the fast-forward flags for a full sharded run")
-	}
-	meter := energy.NewMeter()
-	space := mem.NewSpace()
-	// The epoch width is the mesh's minimum cross-tile latency: no
-	// message can arrive sooner, so shards may run that far apart.
-	lookahead := noc.NewMesh(cfg.Hier.NoC, nil).MinCrossTileLatency()
-	eng := sim.NewSharded(cfg.Tiles, lookahead)
-	s := &System{Sh: eng, Meter: meter, Space: space, workers: cfg.ShardWorkers}
-	if cfg.NoTako {
-		s.H = hier.NewSharded(eng, cfg.Hier, meter, nil, nil)
-	} else {
-		s.Tako = core.NewSharded(eng, space)
-		s.E = engine.NewSharded(eng, cfg.Engine, cfg.Tiles, s.Tako, meter)
-		s.H = hier.NewSharded(eng, cfg.Hier, meter, s.Tako, s.E)
-		s.E.AttachHierarchy(s.H)
-		s.Tako.Attach(s.H, s.E)
-	}
-	for i := 0; i < cfg.Tiles; i++ {
-		s.Cores = append(s.Cores, cpu.New(s.H, i, cfg.Core, meter))
-	}
-	s.attachCapture()
-	return s
-}
-
 // Ops returns the run's architectural operation count — committed core
 // instructions, engine instructions, and DRAM line transfers. Unlike
 // cycle counts, this is insensitive to pure timing-model changes, which
 // makes it the quantity CI gates on.
 func (s *System) Ops() uint64 {
-	return s.TotalInstrs() + s.EngineInstrs() + s.H.DRAMAccesses()
+	return s.TotalInstrs() + s.EngineInstrs() + s.H.DRAM.Accesses()
 }
 
 // Alloc reserves a real region and returns it.
@@ -287,41 +199,23 @@ func (s *System) Alloc(name string, size uint64) mem.Region {
 }
 
 // Go spawns a software thread on the given tile's core. On a partitioned
-// kernel the thread's wake events live in its tile's queue; on a sharded
-// build the thread runs on its tile's shard kernel.
+// kernel the thread's wake events live in its tile's queue.
 func (s *System) Go(tile int, name string, fn func(p *sim.Proc, c *cpu.Core)) {
 	c := s.Cores[tile]
 	s.threads++
-	run := func(p *sim.Proc) { fn(p, c) }
-	if s.Sh != nil {
-		s.Sh.Shard(tile).K.Go(fmt.Sprintf("%s@%d", name, tile), run)
-		return
-	}
-	s.K.GoOn(s.TileShard(tile), fmt.Sprintf("%s@%d", name, tile), run)
+	s.K.GoOn(s.TileShard(tile), fmt.Sprintf("%s@%d", name, tile), func(p *sim.Proc) {
+		fn(p, c)
+	})
 }
 
-// Barrier returns a rendezvous for n software threads that works on
-// either engine: a classic kernel barrier, or an epoch-coordinated
-// barrier homed on shard 0 of a sharded build. Both sides satisfy
-// sim.Rendezvous (Arrive blocks until all n arrived).
-func (s *System) Barrier(n int) sim.Rendezvous {
-	if s.Sh != nil {
-		return sim.NewShardedBarrier(s.Sh, 0, n)
-	}
-	return sim.NewBarrier(s.K, n)
-}
+// Barrier returns a kernel barrier for n software threads (Arrive blocks
+// until all n arrived).
+func (s *System) Barrier(n int) *sim.Barrier { return sim.NewBarrier(s.K, n) }
 
 // RunUntil advances the machine to the given cycle at most and returns
 // with the event queues intact; crash harnesses (§8.3) use it to cut a
-// run at a precise point. On a sharded build every shard clock reaches
-// limit (the epoch schedule stays deterministic at any worker count).
-func (s *System) RunUntil(limit sim.Cycle) {
-	if s.Sh != nil {
-		s.Sh.RunUntil(limit, s.workers)
-		return
-	}
-	s.K.RunUntil(limit)
-}
+// run at a precise point.
+func (s *System) RunUntil(limit sim.Cycle) { s.K.RunUntil(limit) }
 
 // TileShard returns the kernel queue holding tile's events: 0 (the home
 // queue) when the kernel is unpartitioned, 1+tile%shards otherwise.
@@ -337,24 +231,8 @@ func (s *System) TileShard(tile int) int {
 func (s *System) Shards() int { return s.shards }
 
 // Run executes until the machine quiesces and returns the cycle count.
-// It panics if any thread is still blocked (a modeling deadlock). On a
-// sharded build the returned count is the maximum shard clock, and
-// Config.ShardWorkers picks between the sequenced reference schedule
-// (≤ 1) and parallel workers (≥ 2) — simulated results are identical.
+// It panics if any thread is still blocked (a modeling deadlock).
 func (s *System) Run() sim.Cycle {
-	if s.Sh != nil {
-		if s.workers > 1 {
-			s.Sh.Run(s.workers)
-		} else {
-			s.Sh.RunSequenced()
-		}
-		if blocked := s.Sh.Blocked(); len(blocked) > 0 {
-			panic(fmt.Sprintf("system: deadlocked processes after run: %v", blocked))
-		}
-		s.H.FinishStats()
-		s.Sh.Release()
-		return s.Cycles()
-	}
 	s.K.Run()
 	if blocked := s.K.Blocked(); len(blocked) > 0 {
 		panic(fmt.Sprintf("system: deadlocked processes after run: %v", blocked))
@@ -369,33 +247,11 @@ func (s *System) Run() sim.Cycle {
 	return s.K.Now()
 }
 
-// Cycles returns the current simulated time: the kernel clock, or the
-// maximum across shard clocks on a sharded build.
-func (s *System) Cycles() sim.Cycle {
-	if s.Sh == nil {
-		return s.K.Now()
-	}
-	var now sim.Cycle
-	for i := 0; i < s.Sh.Shards(); i++ {
-		if n := s.Sh.Shard(i).K.Now(); n > now {
-			now = n
-		}
-	}
-	return now
-}
+// Cycles returns the current simulated time.
+func (s *System) Cycles() sim.Cycle { return s.K.Now() }
 
-// KernelEvents returns the total dispatched event count, summed across
-// shard kernels on a sharded build.
-func (s *System) KernelEvents() uint64 {
-	if s.Sh == nil {
-		return s.K.Events()
-	}
-	var n uint64
-	for i := 0; i < s.Sh.Shards(); i++ {
-		n += s.Sh.Shard(i).K.Events()
-	}
-	return n
-}
+// KernelEvents returns the total dispatched event count.
+func (s *System) KernelEvents() uint64 { return s.K.Events() }
 
 // Trace attaches (and returns) a structured event tracer recording the
 // given event kinds ("cb.*", "flush.*", ... — empty records everything).

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"strings"
 	"testing"
 
 	"tako/internal/cpu"
@@ -66,5 +67,26 @@ func TestSystemTraceHook(t *testing.T) {
 	// and filtered.
 	if tr.Total() != 0 {
 		t.Fatalf("unexpected events: %d", tr.Total())
+	}
+}
+
+// SetDefaultSharded survives only for callers of the removed sharded
+// engine: arming it panics with a pointer to the removal record, and
+// disarming it leaves New on the classic kernel.
+func TestSetDefaultShardedRemoved(t *testing.T) {
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "sharded engine was removed") || !strings.Contains(msg, "docs/performance.md") {
+				t.Errorf("SetDefaultSharded(true, 2) panic = %q, want the removal message", msg)
+			}
+		}()
+		SetDefaultSharded(true, 2)
+	}()
+	SetDefaultSharded(false, 0)
+	s := New(Default(2))
+	s.Go(0, "w", func(p *sim.Proc, c *cpu.Core) { c.Store(p, mem.Addr(0x1000), 1) })
+	if cycles := s.Run(); s.K == nil || cycles == 0 || cycles != s.K.Now() || s.KernelEvents() != s.K.Events() {
+		t.Fatalf("SetDefaultSharded(false, 0): run on kernel %p took %d cycles", s.K, cycles)
 	}
 }
