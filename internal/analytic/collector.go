@@ -86,7 +86,7 @@ type Collector struct {
 
 	space   *mem.Space
 	ranges  []RangeHist
-	rangeOf flatTable // page -> range index + 1 (0 = unresolved)
+	rangeOf flatTable // page -> range index (absent until first resolved)
 
 	Accesses uint64
 	Writes   uint64
@@ -181,7 +181,7 @@ func (c *Collector) rangeIdx(a mem.Addr) int {
 	}
 	page := uint64(a) >> c.pageBits
 	if v, ok := c.rangeOf.get(page); ok {
-		return v
+		return int(v)
 	}
 	idx := 0
 	if r, ok := c.space.FindRegion(a); ok {
@@ -197,7 +197,7 @@ func (c *Collector) rangeIdx(a mem.Addr) int {
 			c.ranges = append(c.ranges, RangeHist{Name: r.Name})
 		}
 	}
-	c.rangeOf.put(page, idx)
+	c.rangeOf.upsert(page, int32(idx))
 	return idx
 }
 

@@ -1,15 +1,20 @@
 package analytic
 
-// flatTable is a minimal open-addressed uint64 -> int map tuned for the
+// flatTable is a minimal open-addressed uint64 -> int32 map tuned for the
 // stack-distance hot loop: power-of-two capacity, linear probing, and
 // tombstone-free deletion by full reset at compaction time (the only
-// point keys are ever removed). It mirrors internal/flat but stores int
-// slots inline and supports cheap iteration for compaction.
+// point keys are ever removed). Each entry is one 16-byte record, so a
+// probe touches a single cache line. The table is never iterated except
+// to rehash on growth, so its layout cannot reach any output.
 type flatTable struct {
-	keys []uint64
-	vals []int
-	used []bool
-	n    int
+	e []flatEntry
+	n int
+}
+
+type flatEntry struct {
+	key  uint64
+	val  int32
+	used bool
 }
 
 const flatMinCap = 1 << 11
@@ -19,22 +24,18 @@ func (t *flatTable) init(capHint int) {
 	for n < capHint*2 {
 		n *= 2
 	}
-	t.keys = make([]uint64, n)
-	t.vals = make([]int, n)
-	t.used = make([]bool, n)
+	t.e = make([]flatEntry, n)
 	t.n = 0
 }
 
 // reset clears the table, reallocating only when the capacity hint needs
-// more room than the current arrays provide.
+// more room than the current array provides.
 func (t *flatTable) reset(capHint int) {
-	if t.keys == nil || len(t.keys) < capHint*2 {
+	if t.e == nil || len(t.e) < capHint*2 {
 		t.init(capHint)
 		return
 	}
-	for i := range t.used {
-		t.used[i] = false
-	}
+	clear(t.e)
 	t.n = 0
 }
 
@@ -48,17 +49,23 @@ func hashKey(k uint64) uint64 {
 	return k
 }
 
-func (t *flatTable) get(key uint64) (int, bool) {
-	if t.keys == nil {
+// home is key's first probe position. The low three key bits survive
+// the hash, so eight consecutive keys (a streamed array's neighbouring
+// lines) land in eight adjacent entries — two cache lines — instead of
+// eight scattered ones.
+func (t *flatTable) home(key uint64) (i, mask uint64) {
+	mask = uint64(len(t.e) - 1)
+	return (hashKey(key>>3)<<3 | key&7) & mask, mask
+}
+
+func (t *flatTable) get(key uint64) (int32, bool) {
+	if t.e == nil {
 		return 0, false
 	}
-	mask := uint64(len(t.keys) - 1)
-	i := hashKey(key) & mask
-	for t.used[i] {
-		if t.keys[i] == key {
-			return t.vals[i], true
+	for i, mask := t.home(key); t.e[i].used; i = (i + 1) & mask {
+		if t.e[i].key == key {
+			return t.e[i].val, true
 		}
-		i = (i + 1) & mask
 	}
 	return 0, false
 }
@@ -66,71 +73,33 @@ func (t *flatTable) get(key uint64) (int, bool) {
 // upsert stores key -> val in a single probe chain and returns the
 // previous value, if any — the stack-distance hot loop's get+put pair
 // collapsed into one table walk.
-func (t *flatTable) upsert(key uint64, val int) (old int, existed bool) {
-	if t.keys == nil {
+func (t *flatTable) upsert(key uint64, val int32) (old int32, existed bool) {
+	if t.e == nil {
 		t.init(flatMinCap / 2)
 	}
-	if (t.n+1)*4 >= len(t.keys)*3 { // grow at 75% load
+	if (t.n+1)*4 >= len(t.e)*3 { // grow at 75% load
 		t.grow()
 	}
-	mask := uint64(len(t.keys) - 1)
-	i := hashKey(key) & mask
-	for t.used[i] {
-		if t.keys[i] == key {
-			old = t.vals[i]
-			t.vals[i] = val
+	i, mask := t.home(key)
+	for ; t.e[i].used; i = (i + 1) & mask {
+		if t.e[i].key == key {
+			old = t.e[i].val
+			t.e[i].val = val
 			return old, true
 		}
-		i = (i + 1) & mask
 	}
-	t.used[i] = true
-	t.keys[i] = key
-	t.vals[i] = val
+	t.e[i] = flatEntry{key: key, val: val, used: true}
 	t.n++
 	return 0, false
 }
 
-func (t *flatTable) put(key uint64, val int) {
-	if t.keys == nil {
-		t.init(flatMinCap / 2)
-	}
-	if (t.n+1)*4 >= len(t.keys)*3 { // grow at 75% load
-		t.grow()
-	}
-	mask := uint64(len(t.keys) - 1)
-	i := hashKey(key) & mask
-	for t.used[i] {
-		if t.keys[i] == key {
-			t.vals[i] = val
-			return
-		}
-		i = (i + 1) & mask
-	}
-	t.used[i] = true
-	t.keys[i] = key
-	t.vals[i] = val
-	t.n++
-}
-
 func (t *flatTable) grow() {
-	old := *t
-	t.keys = make([]uint64, len(old.keys)*2)
-	t.vals = make([]int, len(old.vals)*2)
-	t.used = make([]bool, len(old.used)*2)
+	old := t.e
+	t.e = make([]flatEntry, len(old)*2)
 	t.n = 0
-	for i, u := range old.used {
-		if u {
-			t.put(old.keys[i], old.vals[i])
+	for _, e := range old {
+		if e.used {
+			t.upsert(e.key, e.val)
 		}
 	}
 }
-
-func (t *flatTable) each(fn func(key uint64, val int)) {
-	for i, u := range t.used {
-		if u {
-			fn(t.keys[i], t.vals[i])
-		}
-	}
-}
-
-func (t *flatTable) len() int { return t.n }
