@@ -7,7 +7,6 @@ package tako
 // paper-vs-measured numbers from these runs.
 
 import (
-	"fmt"
 	"testing"
 
 	"tako/internal/cpu"
@@ -488,14 +487,11 @@ func BenchmarkHierarchyThroughput(b *testing.B) {
 	b.ReportMetric(float64(accesses*b.N)/b.Elapsed().Seconds(), "sim-accesses/s")
 }
 
-// tileParChase runs one strided read loop per tile on a full 16-tile
-// system whose kernel is partitioned tilePar ways (1 = the sequential
-// single-queue kernel), and returns total simulated accesses.
-func tileParChase(tb testing.TB, tilePar, accesses int) int {
+// chase16 runs one strided read loop per tile on a full 16-tile system
+// and returns total simulated accesses.
+func chase16(tb testing.TB, accesses int) int {
 	const tiles = 16
-	cfg := system.Default(tiles)
-	cfg.TilePar = tilePar
-	s := system.New(cfg)
+	s := system.New(system.Default(tiles))
 	done := 0
 	for tile := 0; tile < tiles; tile++ {
 		tile := tile
@@ -514,30 +510,24 @@ func tileParChase(tb testing.TB, tilePar, accesses int) int {
 	return tiles * accesses
 }
 
-// BenchmarkHierarchyThroughputParallel sweeps the kernel shard width on
-// the 16-tile machine. Events partition across per-tile queues (the
-// schedule stays byte-identical — see exp.TestTileParMatchesSequential);
-// the sweep records what the partitioned dispatch costs relative to the
-// single-queue kernel in the CI bench artifact.
+// BenchmarkHierarchyThroughputParallel runs sixteen concurrent chase
+// threads, one per tile, on the 16-tile machine: the many-waiter shape of
+// the event queue that the single-thread BenchmarkHierarchyThroughput
+// does not reach.
 func BenchmarkHierarchyThroughputParallel(b *testing.B) {
-	for _, tilePar := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("tilepar=%d", tilePar), func(b *testing.B) {
-			total := 0
-			for i := 0; i < b.N; i++ {
-				total += tileParChase(b, tilePar, 2000)
-			}
-			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "sim-accesses/s")
-		})
+	total := 0
+	for i := 0; i < b.N; i++ {
+		total += chase16(b, 2000)
 	}
+	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "sim-accesses/s")
 }
 
-// TestHierarchyAccessAllocsTilePar extends the per-access alloc gate to
-// the partitioned kernel: sharded queues must not reintroduce per-access
-// allocations (queue routing is index arithmetic, not boxing).
-func TestHierarchyAccessAllocsTilePar(t *testing.T) {
-	cfg := system.Default(16)
-	cfg.TilePar = 16
-	s := system.New(cfg)
+// TestHierarchyAccessAllocs16Tiles extends the per-access alloc gate to
+// sixteen concurrent threads on the 16-tile machine: cross-tile
+// coherence and a deep event queue must not reintroduce per-access
+// allocations.
+func TestHierarchyAccessAllocs16Tiles(t *testing.T) {
+	s := system.New(system.Default(16))
 	const accesses = 2000
 	run := func() {
 		for tile := 0; tile < 16; tile++ {
@@ -551,10 +541,10 @@ func TestHierarchyAccessAllocsTilePar(t *testing.T) {
 		}
 		s.K.Run()
 	}
-	run() // warm: fills caches, grows tables and queues, populates pools
+	run() // warm: fills caches, grows tables and the queue, populates pools
 	avg := testing.AllocsPerRun(5, run)
 	if per := avg / (16 * accesses); per > 0.01 {
-		t.Fatalf("partitioned-kernel access allocates %.4f allocs/access (%.0f per %d accesses), want ≤ 0.01",
+		t.Fatalf("16-tile access allocates %.4f allocs/access (%.0f per %d accesses), want ≤ 0.01",
 			per, avg, 16*accesses)
 	}
 }

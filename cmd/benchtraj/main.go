@@ -55,7 +55,6 @@ type reportExp struct {
 type reportSummary struct {
 	Scale       string      `json:"scale"`
 	Jobs        int         `json:"jobs"`
-	TilePar     int         `json:"tile_par"`
 	WallMS      float64     `json:"wall_ms"`
 	ExecMS      float64     `json:"exec_ms"`
 	Speedup     float64     `json:"speedup_vs_serial"`

@@ -13,11 +13,7 @@
 // experiments' variant fan-outs and sensitivity sweeps run -j
 // simulations in parallel (default GOMAXPROCS); results always assemble
 // in variant order, so the report and all gated counts are byte-identical
-// at any -j. -tile-par N additionally partitions each simulation's event
-// kernel into N tile-sharded queues merged on the global (cycle,
-// sequence) key; like -j it never changes any output, so CI runs the
-// ops-golden gate at several -j/-tile-par combinations against one
-// golden. Runs are also memoized for the duration of the process:
+// at any -j and one ops golden serves every -j. Runs are also memoized for the duration of the process:
 // paired figures drawn from the same simulations (fig6/fig7, fig13/fig14,
 // fig16/fig17, fig19/fig20) and sweeps that revisit an already-simulated
 // configuration share one run instead of recomputing. Per-experiment
@@ -90,9 +86,8 @@ type benchEntry struct {
 
 // benchReport is the document written by -bench.
 type benchReport struct {
-	Scale   string `json:"scale"`
-	Jobs    int    `json:"jobs"`
-	TilePar int    `json:"tile_par"` // kernel shard width each simulation ran with
+	Scale string `json:"scale"`
+	Jobs  int    `json:"jobs"`
 	// Aggregate perf trajectory: total report wall-clock vs the summed
 	// serial cost of every simulation executed or reused.
 	WallMS      float64      `json:"wall_ms"`
@@ -108,7 +103,6 @@ func main() {
 		ffAuto    = flag.Bool("ff-auto", false, "end fast-forward at analytical miss-ratio convergence (bounded by -ff when both are given)")
 		scaleTier = flag.String("scale", "quick", "workload tier for scale-aware experiments (fig25full): quick or full")
 		jobs      = flag.Int("j", 0, "simulations to run in parallel (0 = GOMAXPROCS)")
-		tilePar   = flag.Int("tile-par", 1, "tile queues to partition each simulation's event kernel into (1 = sequential single-queue kernel; the report is identical at any width)")
 
 		out   = flag.String("out", "", "also write the report to this file")
 		skip  = flag.String("skip", "", "comma-separated experiment ids to skip")
@@ -141,7 +135,6 @@ func main() {
 	}
 
 	sched.SetWorkers(*jobs)
-	system.SetDefaultTilePar(*tilePar)
 	system.SetDefaultFastForward(*ff, *ffAuto)
 	if err := exp.SetScale(*scaleTier); err != nil {
 		fmt.Fprintf(os.Stderr, "takoreport: %v\n", err)
@@ -370,7 +363,6 @@ func main() {
 		doc := benchReport{
 			Scale:       scale,
 			Jobs:        sched.Workers(),
-			TilePar:     *tilePar,
 			WallMS:      totalWall,
 			ExecMS:      totalExec,
 			Experiments: entries,

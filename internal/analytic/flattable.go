@@ -58,18 +58,6 @@ func (t *flatTable) home(key uint64) (i, mask uint64) {
 	return (hashKey(key>>3)<<3 | key&7) & mask, mask
 }
 
-func (t *flatTable) get(key uint64) (int32, bool) {
-	if t.e == nil {
-		return 0, false
-	}
-	for i, mask := t.home(key); t.e[i].used; i = (i + 1) & mask {
-		if t.e[i].key == key {
-			return t.e[i].val, true
-		}
-	}
-	return 0, false
-}
-
 // upsert stores key -> val in a single probe chain and returns the
 // previous value, if any — the stack-distance hot loop's get+put pair
 // collapsed into one table walk.

@@ -116,8 +116,7 @@ func (m *Model) l3HitProb(dist int, cold bool) float64 {
 }
 
 // Observe folds one access's reuse distances into the expectations.
-// The sample must carry filtered-stream observations (the collector's
-// SetFilters must be armed). The private levels are counted exactly:
+// The private levels are counted exactly:
 // the collector's content filters reproduce the simulator's inclusive
 // L1/L2 (including back-invalidation on L2 eviction), so an access hits
 // L1 iff it did not reach L2, and hits L2 iff it did not reach L3. Only

@@ -3,6 +3,7 @@ package analytic
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tako/internal/mem"
@@ -163,73 +164,132 @@ func checkStackAgainstBrute(t *testing.T, keep int, keys []uint64) (fast *Stack,
 	return fast, spurious
 }
 
-// TestCollectorMatchesBrute pins the three collector granularities —
-// per-tile line, global line, per-tile page — against brute references
-// on a multi-tile interleaved trace that mixes real regions with a
-// phantom range.
+// bruteFilter is the reference for the collector's level filters: one
+// recency list over the whole cache, most recent first, whose set
+// membership is recomputed on every access. A key hits iff it is
+// resident; a miss installs it and evicts the least recent key of its
+// set once the set holds more than ways keys.
+type bruteFilter struct {
+	sets, ways int
+	order      []uint64
+}
+
+func (f *bruteFilter) access(key uint64) (hit bool, victim uint64, evicted bool) {
+	if i := slices.Index(f.order, key); i >= 0 {
+		f.order = slices.Delete(f.order, i, i+1)
+		f.order = slices.Insert(f.order, 0, key)
+		return true, 0, false
+	}
+	f.order = slices.Insert(f.order, 0, key)
+	last, inSet := -1, 0
+	for i, k := range f.order {
+		if k%uint64(f.sets) == key%uint64(f.sets) {
+			last, inSet = i, inSet+1
+		}
+	}
+	if inSet > f.ways {
+		victim = f.order[last]
+		f.order = slices.Delete(f.order, last, last+1)
+		return false, victim, true
+	}
+	return false, 0, false
+}
+
+// invalidate drops key and reports whether it was resident.
+func (f *bruteFilter) invalidate(key uint64) bool {
+	i := slices.Index(f.order, key)
+	if i >= 0 {
+		f.order = slices.Delete(f.order, i, i+1)
+	}
+	return i >= 0
+}
+
+// TestCollectorMatchesBrute pins every stream the collector reports
+// against brute references on a multi-tile interleaved trace that mixes
+// real regions with a phantom range: the per-tile page and global line
+// distances, and the filtered streams the Model scores. Per tile, a
+// brute L1 and L2 filter (with L2 victims back-invalidated from L1)
+// decide which accesses reach L2 and L3; the L1-miss stream feeds a
+// per-tile BruteStack and the private-miss stream a merged one. The
+// filters are small and half the accesses go to hot line sets sized for
+// each private level, so L1 hits, L2 hits, L3 reaches and
+// back-invalidations all occur.
 func TestCollectorMatchesBrute(t *testing.T) {
 	const tiles = 4
 	const pageBits = 12 // small pages so the page stream actually exercises reuse
+	l1, l2 := Geom{Sets: 4, Ways: 4}, Geom{Sets: 16, Ways: 2}
 	space := mem.NewSpace()
 	real1 := space.Alloc("ranks", 1<<16)
 	real2 := space.Alloc("edges", 1<<17)
 	phantom := space.AllocPhantom("ubbuf", 1<<16)
 	regions := []mem.Region{real1, real2, phantom}
 
-	c := NewCollector(tiles, pageBits, space)
-	bTileLine := make([]*BruteStack, tiles)
+	c := NewCollector(tiles, pageBits, l1, l2)
+	bL1 := make([]*bruteFilter, tiles)
+	bL2 := make([]*bruteFilter, tiles)
+	bTileL2 := make([]*BruteStack, tiles)
 	bTilePage := make([]*BruteStack, tiles)
-	bGlobal := &BruteStack{}
-	for i := range bTileLine {
-		bTileLine[i] = &BruteStack{}
+	bGlobal, bGlobalL3 := &BruteStack{}, &BruteStack{}
+	for i := 0; i < tiles; i++ {
+		bL1[i] = &bruteFilter{sets: l1.Sets, ways: l1.Ways}
+		bL2[i] = &bruteFilter{sets: l2.Sets, ways: l2.Ways}
+		bTileL2[i] = &BruteStack{}
 		bTilePage[i] = &BruteStack{}
 	}
 
+	var l1Hits, l2Hits, l3Reaches, backInvals int
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 40000; i++ {
 		tile := rng.Intn(tiles)
 		r := regions[rng.Intn(len(regions))]
-		a := r.At(uint64(rng.Intn(int(r.Size))) &^ 7)
+		span := r.Size
+		switch rng.Intn(4) {
+		case 0:
+			r, span = real1, 4*mem.LineSize // L1-resident lines
+		case 1:
+			span = 32 * mem.LineSize // L2-resident lines
+		}
+		a := r.At(uint64(rng.Int63n(int64(span))) &^ 7)
 		write := rng.Intn(4) == 0
 		s := c.Touch(tile, a, write)
 
 		la := uint64(a >> mem.LineShift)
-		td, tc := bTileLine[tile].Touch(la)
 		gd, gc := bGlobal.Touch(la)
 		pd, pc := bTilePage[tile].Touch(uint64(a) >> pageBits)
-		if s.TileDist != td || s.TileCold != tc {
-			t.Fatalf("access %d: tile dist (%d,%v) != brute (%d,%v)", i, s.TileDist, s.TileCold, td, tc)
-		}
 		if s.GlobalDist != gd || s.GlobalCold != gc {
 			t.Fatalf("access %d: global dist (%d,%v) != brute (%d,%v)", i, s.GlobalDist, s.GlobalCold, gd, gc)
 		}
 		if s.PageDist != pd || s.PageCold != pc {
 			t.Fatalf("access %d: page dist (%d,%v) != brute (%d,%v)", i, s.PageDist, s.PageCold, pd, pc)
 		}
-	}
 
-	// Range attribution: all three regions (including the phantom one)
-	// must appear, and bucket totals must account for every access.
-	names := map[string]uint64{}
-	var total uint64
-	for _, h := range c.Ranges() {
-		names[h.Name] = h.Accesses
-		total += h.Accesses
-		var inBuckets uint64
-		for _, b := range h.Buckets {
-			inBuckets += b
+		want := Sample{Tile: tile, Line: s.Line, Write: write, GlobalDist: gd, GlobalCold: gc, PageDist: pd, PageCold: pc}
+		if hit, _, _ := bL1[tile].access(la); hit {
+			l1Hits++
+		} else {
+			want.ReachL2 = true
+			want.L2Dist, want.L2Cold = bTileL2[tile].Touch(la)
+			if hit, victim, evicted := bL2[tile].access(la); hit {
+				l2Hits++
+			} else {
+				l3Reaches++
+				want.ReachL3 = true
+				want.L3Dist, want.L3Cold = bGlobalL3.Touch(la)
+				if evicted && bL1[tile].invalidate(victim) {
+					backInvals++
+				}
+			}
 		}
-		if inBuckets+h.Cold != h.Accesses {
-			t.Fatalf("range %q: buckets %d + cold %d != accesses %d", h.Name, inBuckets, h.Cold, h.Accesses)
+		if s != want {
+			t.Fatalf("access %d (tile %d line %#x):\n got  %+v\n want %+v", i, tile, la, s, want)
 		}
 	}
-	for _, want := range []string{"ranks", "edges", "ubbuf"} {
-		if names[want] == 0 {
-			t.Fatalf("range %q missing from histograms (got %v)", want, names)
-		}
+	if l1Hits < 1000 || l2Hits < 1000 || l3Reaches < 1000 || backInvals < 1000 {
+		t.Fatalf("trace too uniform: %d L1 hits, %d L2 hits, %d L3 reaches, %d back-invalidations",
+			l1Hits, l2Hits, l3Reaches, backInvals)
 	}
-	if total != c.Accesses {
-		t.Fatalf("range totals %d != collector accesses %d", total, c.Accesses)
+	if c.Accesses != 40000 {
+		t.Fatalf("collector counted %d accesses, want 40000", c.Accesses)
 	}
 }
 
@@ -350,8 +410,7 @@ func TestCollectorTouchSteadyStateAllocs(t *testing.T) {
 	const tiles, v, e = 4, 4096, 8 * 4096
 	space := mem.NewSpace()
 	stream := newScatterStream(tiles, v, e, space)
-	c := NewCollector(tiles, 12, space)
-	c.SetFilters(benchL1, benchL2)
+	c := NewCollector(tiles, 12, benchL1, benchL2)
 	const batch = 200000 // > 2 sweeps of the stream: every stack compacts
 	touch := func() {
 		for i := 0; i < batch; i++ {
@@ -383,8 +442,7 @@ func BenchmarkCollectorTouch(b *testing.B) {
 		const tiles, v, e = 16, 128 * 1024, 2 * 1024 * 1024
 		space := mem.NewSpace()
 		benchStream = newScatterStream(tiles, v, e, space)
-		benchCollector = NewCollector(tiles, 12, space)
-		benchCollector.SetFilters(benchL1, benchL2)
+		benchCollector = NewCollector(tiles, 12, benchL1, benchL2)
 		for i := 0; i < 2*(v+2*e); i++ { // two passes over the graph
 			benchCollector.Touch(benchStream.next())
 		}

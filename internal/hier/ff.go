@@ -121,10 +121,9 @@ func FFSnapshot() FFView {
 
 // EnableFastForward arms analytical fast-forward for the first budget
 // core accesses (auto mode may switch earlier once per-level miss
-// ratios converge; budget 0 with auto selects the default cap). space
-// attributes the collector's reuse histograms to named regions and may
-// be nil. Baseline machines only.
-func (h *Hierarchy) EnableFastForward(budget uint64, auto bool, space *mem.Space) {
+// ratios converge; budget 0 with auto selects the default cap).
+// Baseline machines only.
+func (h *Hierarchy) EnableFastForward(budget uint64, auto bool) {
 	if h.registry != nil {
 		panic("hier: -ff/-ff-auto on a täkō machine is unsupported (morph callbacks need the event kernel " +
 			"per access); fast-forward baseline (Config.NoTako) machines, or drop the fast-forward flags")
@@ -143,7 +142,6 @@ func (h *Hierarchy) EnableFastForward(budget uint64, auto bool, space *mem.Space
 	f := &ffState{
 		budget: budget,
 		auto:   auto,
-		col:    analytic.NewCollector(cfg.Tiles, uint(dtlbCfg.PageBits), space),
 		counts: make([]uint32, cfg.Tiles),
 		model: analytic.Model{
 			L1:  lineGeom(cfg.L1Size, cfg.L1Ways, 1),
@@ -163,7 +161,7 @@ func (h *Hierarchy) EnableFastForward(budget uint64, auto bool, space *mem.Space
 	// The L2/L3 models observe the filtered streams the simulator's
 	// counters see (L1 misses, private misses), gated by exact
 	// functional LRU content of the level above.
-	f.col.SetFilters(f.model.L1, f.model.L2)
+	f.col = analytic.NewCollector(cfg.Tiles, uint(dtlbCfg.PageBits), f.model.L1, f.model.L2)
 	h.ff = f
 	ffActiveSystems.Add(1)
 	ffBudgetTotal.Add(budget)
@@ -322,15 +320,6 @@ func (h *Hierarchy) FFEstimate() (analytic.Estimate, bool) {
 		return analytic.Estimate{}, false
 	}
 	return h.ff.model.Estimate(), true
-}
-
-// FFRanges returns the per-address-range reuse-distance histograms
-// collected during fast-forward.
-func (h *Hierarchy) FFRanges() []analytic.RangeHist {
-	if h.ff == nil {
-		return nil
-	}
-	return h.ff.col.Ranges()
 }
 
 // The functional fast paths below implement each public access's

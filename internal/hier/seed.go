@@ -74,34 +74,25 @@ func (h *Hierarchy) seedWarmState(col *analytic.Collector) ffSeedCounts {
 	}
 
 	// Private levels + dTLB, per tile. The collector's exact content
-	// filters (armed whenever fast-forward runs) are the private levels'
-	// true steady-state occupancy — including inclusion back-invalidation
-	// — so they are preferred; the tile-stream MRU estimate is the
-	// fallback for filterless collectors.
+	// filters are the private levels' true steady-state occupancy —
+	// including inclusion back-invalidation.
 	for ti, t := range h.tiles {
 		keys1, keys2 := col.FilterMRU(ti)
-		if keys2 == nil {
-			keys2 = col.TileMRU(ti, 4*t.l2.NumSets()*t.l2.Config().Ways)
-		}
 		plan2 := planPrivate(t.l2, keys2, inL3)
-		var plan1 []mem.Addr
-		if keys1 != nil {
-			// Exact L1 content, restricted to the seeded L2 plan so the
-			// installed levels stay inclusive.
-			inPlan2 := make(map[mem.Addr]struct{}, len(plan2))
-			for _, la := range plan2 {
-				inPlan2[la] = struct{}{}
-			}
-			for _, key := range keys1 {
-				la := mem.Addr(key << mem.LineShift)
-				if _, ok := inPlan2[la]; ok {
-					plan1 = append(plan1, la)
-				}
-			}
-			plan1 = planSubset(t.l1, plan1)
-		} else {
-			plan1 = planSubset(t.l1, plan2)
+		// Exact L1 content, restricted to the seeded L2 plan so the
+		// installed levels stay inclusive.
+		inPlan2 := make(map[mem.Addr]struct{}, len(plan2))
+		for _, la := range plan2 {
+			inPlan2[la] = struct{}{}
 		}
+		var plan1 []mem.Addr
+		for _, key := range keys1 {
+			la := mem.Addr(key << mem.LineShift)
+			if _, ok := inPlan2[la]; ok {
+				plan1 = append(plan1, la)
+			}
+		}
+		plan1 = planSubset(t.l1, plan1)
 		for i := len(plan2) - 1; i >= 0; i-- {
 			store.PeekLine(plan2[i], &line)
 			if t.l2.Seed(plan2[i], &line) {

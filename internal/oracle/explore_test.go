@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -57,6 +58,41 @@ func TestExploreDeterministic(t *testing.T) {
 	}
 }
 
+// exploreAll sweeps every scenario with a small budget at the given
+// worker count and returns the full result.
+func exploreAll(t *testing.T, workers int) *ExploreResult {
+	t.Helper()
+	cfg := DefaultExploreConfig()
+	cfg.MaxRuns = 6
+	cfg.Workers = workers
+	res, err := Explore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestExploreParallelMatchesSequential pins the explorer's batched
+// parallel evaluation: the complete ExploreResult — scenario list, run
+// count, choice-point high-water mark, and findings in order — is
+// identical at 1 and 4 workers. CI runs this under -race, making it the
+// data-race probe for concurrent schedule evaluation.
+func TestExploreParallelMatchesSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	ref := exploreAll(t, 1)
+	if ref.Runs == 0 || ref.ChoicePoints == 0 {
+		t.Fatalf("reference sweep did not explore: %+v", ref)
+	}
+	for _, f := range ref.Findings {
+		t.Errorf("%s under schedule %v: %s", f.Scenario, trimSchedule(f.Schedule), f.Err)
+	}
+	if got := exploreAll(t, 4); !reflect.DeepEqual(got, ref) {
+		t.Errorf("workers=4 explore result diverged:\ngot:  %+v\nwant: %+v", got, ref)
+	}
+}
+
 // FuzzExploreSchedule lets the fuzzer drive the scheduling choices
 // directly: the first byte picks a scenario, the rest resolve choice
 // points (modulo arity). Every reachable schedule is a legal hardware
@@ -93,6 +129,57 @@ func FuzzExploreSchedule(f *testing.F) {
 		}
 		if err := res.Oracle.Err(); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzEpochSchedule fuzzes the order in which each cycle's batch of
+// same-time events drains: the fuzz input picks a scenario, an
+// invariant-check period, and a raw schedule of same-cycle tie
+// resolutions. Every schedule must satisfy the oracle and the hierarchy
+// invariants, checked as often as every event, and must reproduce the
+// fingerprint of the same choices checked at the default period byte
+// for byte: replaying a schedule is deterministic, and checking
+// invariants never perturbs the simulation it checks.
+func FuzzEpochSchedule(f *testing.F) {
+	f.Add([]byte{0, 2})
+	f.Add([]byte{1, 3, 1, 1})
+	f.Add([]byte{2, 4, 0, 1, 0, 2})
+	f.Add([]byte{5, 16, 2, 7, 1, 0, 3})
+	scenarios := Scenarios()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			t.Skip()
+		}
+		if len(data) > 256 { // bounds choice-point churn per run
+			data = data[:256]
+		}
+		sc := scenarios[int(data[0])%len(scenarios)]
+		period := 1 + int(data[1])%16
+		run := func(checkEvery int) *TraceResult {
+			tc := TraceConfig{
+				Tiles:         sc.tiles,
+				CacheScale:    sc.scale,
+				CheckEvery:    checkEvery,
+				Script:        sc.ops,
+				Chooser:       &byteChooser{data: data[2:]},
+				RecoverPanics: true,
+				RealMorph:     sc.realMorph,
+			}
+			res, err := RunTrace(tc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Oracle.Err(); err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		dense := run(period)
+		sparse := run(64)
+		if dense.Fingerprint != sparse.Fingerprint {
+			t.Fatalf("checking invariants every %d events changed the run:\n--- every %d ---\n%s\n--- every 64 ---\n%s",
+				period, period, dense.Fingerprint, sparse.Fingerprint)
 		}
 	})
 }

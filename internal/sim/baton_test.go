@@ -145,8 +145,8 @@ func TestRunUntilBoundsProcHeldDrive(t *testing.T) {
 			}
 		}
 		seen = len(got)
-		if when, ok := k.next(); ok && when <= limit {
-			t.Fatalf("RunUntil(%d) left an event at %d", limit, when)
+		if len(k.queue) > 0 && k.queue[0].when <= limit {
+			t.Fatalf("RunUntil(%d) left an event at %d", limit, k.queue[0].when)
 		}
 	}
 	k.Run()

@@ -26,15 +26,6 @@ type Config struct {
 	// NoTako disables Morph support entirely (baseline machine): the
 	// hierarchy runs with no registry or engines.
 	NoTako bool
-	// TilePar, when > 1, partitions the event kernel into tile-sharded
-	// queues (min(TilePar, Tiles) tile queues plus a home queue for
-	// shared/uncore events). Partitioning changes only where events are
-	// stored — dispatch still merges all queues by the global
-	// (cycle, sequence) key — so every simulated outcome is byte-identical
-	// to TilePar ≤ 1 at any width; sim.TestPartitionedKernelMatchesSingleQueue
-	// and exp.TestTileParMatchesSequential pin this. 0 means
-	// DefaultTilePar(); 1 forces the single-queue kernel.
-	TilePar int
 	// FastForward, when > 0, runs the machine's first N core memory
 	// accesses through the analytical fast-forward engine (hier/ff.go):
 	// functionally exact execution against the backing store feeding a
@@ -51,23 +42,15 @@ type Config struct {
 	FFAuto bool
 }
 
-// defaultTilePar is the package-wide default for Config.TilePar when a
-// config leaves it 0, mirroring hier.SetVerifyDefaults: the -tile-par
-// CLI flag sets it once and every system built afterwards (including by
-// experiment code that never sees the flag) picks it up.
-var defaultTilePar = 1
-
-// SetDefaultTilePar sets the kernel shard width used when a Config
-// leaves TilePar at 0. n ≤ 1 selects the sequential single-queue kernel.
+// SetDefaultTilePar is kept for callers written against the removed
+// partitioned event kernel (docs/performance.md, "Partitioned kernel:
+// measured and removed"). n ≤ 1 does nothing; a wider partition panics.
 func SetDefaultTilePar(n int) {
-	if n < 1 {
-		n = 1
+	if n > 1 {
+		panic("system: the partitioned kernel was removed (docs/performance.md, " +
+			"\"Partitioned kernel: measured and removed\"); every machine runs the single-queue kernel")
 	}
-	defaultTilePar = n
 }
-
-// DefaultTilePar returns the current package-wide shard-width default.
-func DefaultTilePar() int { return defaultTilePar }
 
 // SetDefaultSharded is kept for callers written against the removed
 // sharded message-passing engine (docs/performance.md, "Sharded engine:
@@ -76,14 +59,14 @@ func DefaultTilePar() int { return defaultTilePar }
 func SetDefaultSharded(on bool, workers int) {
 	if on {
 		panic("system: the sharded engine was removed (docs/performance.md, " +
-			"\"Sharded engine: measured and removed\"); use the partitioned kernel (-tile-par)")
+			"\"Sharded engine: measured and removed\"); every machine runs the single-queue kernel")
 	}
 }
 
-// defaultFF mirrors SetDefaultTilePar for the analytical fast-forward
-// warmup: the -ff / -ff-auto CLI flags set it once and every baseline
-// machine built afterwards picks it up, unless its Config chose
-// explicitly.
+// defaultFF is the package-wide fast-forward warmup default, mirroring
+// hier.SetVerifyDefaults: the -ff / -ff-auto CLI flags set it once and
+// every baseline machine built afterwards picks it up, unless its Config
+// chose explicitly.
 var (
 	defaultFFAccesses uint64
 	defaultFFAuto     bool
@@ -129,7 +112,6 @@ type System struct {
 	Cores []*cpu.Core
 
 	threads int
-	shards  int // tile queues on a partitioned kernel (0: unpartitioned)
 
 	// Capture state (capture.go): set when a process-wide observability
 	// capture was armed before this System was built.
@@ -143,22 +125,6 @@ func New(cfg Config) *System {
 	meter := energy.NewMeter()
 	space := mem.NewSpace()
 	s := &System{K: k, Meter: meter, Space: space}
-
-	tilePar := cfg.TilePar
-	if tilePar == 0 {
-		tilePar = defaultTilePar
-	}
-	if tilePar > 1 {
-		// Partition before anything is scheduled: queue 0 stays the home
-		// queue for shared/uncore events, queues 1..shards hold tile-affine
-		// events (tile t → queue 1+t%shards). The partition must happen
-		// first — Partition panics once events exist.
-		s.shards = tilePar
-		if s.shards > cfg.Tiles {
-			s.shards = cfg.Tiles
-		}
-		k.Partition(1 + s.shards)
-	}
 
 	if cfg.NoTako {
 		s.H = hier.New(k, cfg.Hier, meter, nil, nil)
@@ -175,7 +141,7 @@ func New(cfg Config) *System {
 			ffAcc, ffAuto = defaultFFAccesses, defaultFFAuto
 		}
 		if ffAcc > 0 || ffAuto {
-			s.H.EnableFastForward(ffAcc, ffAuto, space)
+			s.H.EnableFastForward(ffAcc, ffAuto)
 		}
 	}
 	for i := 0; i < cfg.Tiles; i++ {
@@ -198,12 +164,11 @@ func (s *System) Alloc(name string, size uint64) mem.Region {
 	return s.Space.Alloc(name, size)
 }
 
-// Go spawns a software thread on the given tile's core. On a partitioned
-// kernel the thread's wake events live in its tile's queue.
+// Go spawns a software thread on the given tile's core.
 func (s *System) Go(tile int, name string, fn func(p *sim.Proc, c *cpu.Core)) {
 	c := s.Cores[tile]
 	s.threads++
-	s.K.GoOn(s.TileShard(tile), fmt.Sprintf("%s@%d", name, tile), func(p *sim.Proc) {
+	s.K.Go(fmt.Sprintf("%s@%d", name, tile), func(p *sim.Proc) {
 		fn(p, c)
 	})
 }
@@ -213,22 +178,9 @@ func (s *System) Go(tile int, name string, fn func(p *sim.Proc, c *cpu.Core)) {
 func (s *System) Barrier(n int) *sim.Barrier { return sim.NewBarrier(s.K, n) }
 
 // RunUntil advances the machine to the given cycle at most and returns
-// with the event queues intact; crash harnesses (§8.3) use it to cut a
+// with the event queue intact; crash harnesses (§8.3) use it to cut a
 // run at a precise point.
 func (s *System) RunUntil(limit sim.Cycle) { s.K.RunUntil(limit) }
-
-// TileShard returns the kernel queue holding tile's events: 0 (the home
-// queue) when the kernel is unpartitioned, 1+tile%shards otherwise.
-func (s *System) TileShard(tile int) int {
-	if s.shards == 0 {
-		return 0
-	}
-	return 1 + tile%s.shards
-}
-
-// Shards returns the number of tile queues the kernel is partitioned
-// into (0 when running the sequential single-queue kernel).
-func (s *System) Shards() int { return s.shards }
 
 // Run executes until the machine quiesces and returns the cycle count.
 // It panics if any thread is still blocked (a modeling deadlock).

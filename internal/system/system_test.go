@@ -90,3 +90,25 @@ func TestSetDefaultShardedRemoved(t *testing.T) {
 		t.Fatalf("SetDefaultSharded(false, 0): run on kernel %p took %d cycles", s.K, cycles)
 	}
 }
+
+// SetDefaultTilePar survives only for callers of the removed partitioned
+// kernel: a width above one panics with a pointer to the removal record,
+// and widths up to one leave New on the single-queue kernel.
+func TestSetDefaultTileParRemoved(t *testing.T) {
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "partitioned kernel was removed") || !strings.Contains(msg, "docs/performance.md") {
+				t.Errorf("SetDefaultTilePar(4) panic = %q, want the removal message", msg)
+			}
+		}()
+		SetDefaultTilePar(4)
+	}()
+	SetDefaultTilePar(1)
+	SetDefaultTilePar(0)
+	s := New(Default(2))
+	s.Go(1, "w", func(p *sim.Proc, c *cpu.Core) { c.Store(p, mem.Addr(0x1000), 1) })
+	if cycles := s.Run(); cycles == 0 || s.KernelEvents() != s.K.Events() {
+		t.Fatalf("SetDefaultTilePar(1): run took %d cycles", cycles)
+	}
+}
